@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install verify test bench bench-full experiments faults perf perf-compare lint lint-changed lint-strict linkcheck redis-cluster fleet virtio-batch examples clean
+.PHONY: install verify test bench bench-full bench-smoke experiments faults perf perf-compare lint lint-changed lint-strict linkcheck redis-cluster fleet virtio-batch examples clean
 
 install:
 	pip install -e .
@@ -20,6 +20,11 @@ bench:
 
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repository benchmark's own tests (zionbench/, ~15 s): fails when a
+# src/ refactor breaks a name the benchmark drives or hooks.
+bench-smoke:
+	$(PYTHON) -m pytest zionbench -q
 
 experiments:
 	$(PYTHON) -m repro experiments

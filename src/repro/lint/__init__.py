@@ -15,7 +15,7 @@ Rule families
   domains (``hyp/``, ``guest/``, ``workloads/``, ``ipc/``) may import
   only the sanctioned ABI surface from ``repro.sm`` and may not
   attribute-access SM-private state.
-- **ZL2** (:mod:`repro.lint.taint`) -- check-after-load taint:
+- **ZL2** (:mod:`repro.lint.dataflow`) -- check-after-load taint:
   hypervisor-supplied ECALL arguments and shared-memory loads are
   tainted until validated; tainted indexes/lengths/addresses/branches
   in SM code are findings.

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.astutil import call_name, is_guard, iter_functions, names_in, receiver_tail
+from repro.lint.astutil import call_name, is_guard, names_in, receiver_tail
 from repro.lint.findings import Finding
 
 RULE = "ZL2"
@@ -433,11 +433,3 @@ def _branch_sensitive_names(test: ast.AST) -> set[str]:
         for node in ast.walk(test)
         if isinstance(node, ast.Name) and id(node) not in skip
     }
-
-
-def check(tree: ast.Module, path: str) -> list[Finding]:
-    """Run ZL2 over one SM-domain module."""
-    findings: list[Finding] = []
-    for qual, fn in iter_functions(tree):
-        findings.extend(_FunctionTaint(qual, fn, path).run())
-    return findings

@@ -56,6 +56,10 @@ WAIT_DOORBELL = object()
 #: structural validity check and the sequence must re-execute live.
 _REPLAY_REJECT = object()
 
+#: The ``walk`` :meth:`Machine._access_one` reports for an access that took
+#: a stage-2 fault before completing (the trace recorder stops on it).
+_FAULTED = object()
+
 
 @dataclasses.dataclass(frozen=True)
 class MachineConfig:
@@ -107,20 +111,12 @@ class GuestSession:
         #: invoked when the guest WFIs.  Returns True if it produced work.
         self.host_work = None
         self.active = False
-
-    @property
-    def vmid(self) -> int:
-        return self.cvm.vmid if self.kind is VmKind.CONFIDENTIAL else self.normal_vm.vmid
-
-    @property
-    def layout(self) -> GpaLayout:
-        return self.cvm.layout if self.kind is VmKind.CONFIDENTIAL else self.normal_vm.layout
-
-    @property
-    def hgatp_root(self) -> int:
-        if self.kind is VmKind.CONFIDENTIAL:
-            return self.cvm.hgatp_root
-        return self.normal_vm.hgatp_root
+        # Fixed once the VM is launched; plain attributes because the
+        # engine step reads them on every guest access.
+        vm = cvm if kind is VmKind.CONFIDENTIAL else normal_vm
+        self.vmid: int = vm.vmid
+        self.layout: GpaLayout = vm.layout
+        self.hgatp_root: int = vm.hgatp_root
 
 
 class Machine:
@@ -210,6 +206,7 @@ class Machine:
         )
         self._trace_cache = TraceCache() if cfg.trace_cache and costs_integral else None
         self._charge_seq_compute = self.ledger.charger(Category.COMPUTE, 1)
+        self._walk_cost = int(self.costs.page_walk_level)
 
     def _running_cvm_of(self, hart):
         """ABI helper: which CVM/vCPU is executing on this hart, if any."""
@@ -605,118 +602,101 @@ class Machine:
                                 values, gvas, key)
 
     def _access_one(self, session: GuestSession, gva: int, access: AccessType):
-        """Single-access engine fast path: resolved PA, or ``None``.
+        """The engine's per-access step: ``(pa, entry, walk)`` or ``None``.
 
-        The inlined common case of :meth:`guest_access` -- timer compare,
-        TLB hit or valid-walk miss on an ordinary memory address -- with
-        identical charges, statistics and LRU motion.  Returns ``None``
-        *before* charging or mutating anything whenever the access needs
-        the generic machinery (MMIO or out-of-region addresses,
-        permission faults, stage-2 faults), so the caller falls back to
-        :meth:`guest_access` with nothing to undo.  Channel-ring header
-        words and payload chunks are the hot callers.
+        Performs what :meth:`guest_access` performs for an ordinary
+        memory access -- timer check, TLB probe, stage-2 walk on a miss,
+        and, when the walk faults into M mode, the SM's fault fix and a
+        retry -- with identical charges, statistics and LRU motion.
+        ``entry`` is the TLB entry the access used; ``walk`` tells the
+        trace recorder how it got there: ``None`` for a TLB hit, the
+        charged walk cycles for a fill, :data:`_FAULTED` when the access
+        faulted first.
+
+        Returns ``None`` *before* charging or mutating anything (a due
+        timer tick aside, which :meth:`guest_access` fires first as well)
+        whenever the access needs the generic machinery: an address
+        outside guest DRAM (MMIO, the shared region), an entry or leaf
+        lacking the access's permission, or a fault the SM does not
+        handle.  The caller then falls back to :meth:`guest_access` with
+        nothing to undo.
         """
-        ledger = self.ledger
         hart = session.hart
-        if ledger._total >= self.clint._mtimecmp[hart.hart_id]:
+        if self.ledger._total >= self.clint._mtimecmp[hart.hart_id]:
             self.check_timer(session)
         layout = session.layout
-        if session.kind is VmKind.CONFIDENTIAL:
-            if not 0 <= gva - layout.dram_base < layout.dram_size:
-                return None
-        elif layout.mmio_base <= gva < layout.mmio_base + layout.mmio_size:
+        if not 0 <= gva - layout.dram_base < layout.dram_size:
             return None
-        translator = self.translator
-        tlb = translator.tlb
+        tlb = self.translator.tlb
         key = (session.vmid, gva >> 12)
-        entry = tlb._entries.get(key)
         required = access.required_pte_bit
+        entry = tlb._entries.get(key)
         if entry is not None:
-            ppage, flags = entry
-            if not flags & required:
-                return None
+            if not entry[1] & required:
+                return None  # hardware re-walks: the generic path models it
             tlb.hits += 1
             tlb._entries.move_to_end(key)
-            translator._charge_tlb_hit()
-            return ppage << 12 | gva & 0xFFF
-        if not 0 <= gva < translator.sv39x4._va_limit:
+            self.translator._charge_tlb_hit()
+            return entry[0] << 12 | gva & 0xFFF, entry, None
+        if not gva < self.translator.sv39x4._va_limit:
             return None
-        wpa, wflags, levels, _slot = translator.probe_gpa(session.hgatp_root, gva)
-        if wpa is None or not wflags & required:
-            return None
-        tlb.misses += 1
-        ledger.charge(Category.PAGE_WALK, levels * int(self.costs.page_walk_level))
-        self.bus._cpu_check(hart, wpa, 1, access)
-        tlb.insert(session.vmid, gva >> 12, wpa >> 12, wflags)
-        return wpa
+        walk = None
+        for _attempt in range(8):
+            pa, flags, levels, leaf_slot = self.translator.probe_gpa(
+                session.hgatp_root, gva
+            )
+            if pa is not None:
+                if not flags & required:
+                    return None
+                tlb.misses += 1
+                cycles = levels * self._walk_cost
+                self.ledger.charge(Category.PAGE_WALK, cycles)
+                self.bus._cpu_check(hart, pa, 1, access)
+                entry = (pa >> 12, flags)
+                tlb.insert(key[0], key[1], entry[0], flags)
+                return pa, entry, walk if walk is _FAULTED else cycles
+            # A stage-2 guest-page fault.  Only private DRAM of a CVM
+            # whose delegation routes the fault to M mode is the SM's.
+            if walk is None and (
+                session.kind is not VmKind.CONFIDENTIAL
+                or route_exception(
+                    guest_page_fault_for(access), hart.mode, hart.medeleg, hart.hedeleg
+                ) is not PrivilegeMode.M
+            ):
+                return None
+            walk = _FAULTED
+            tlb.misses += 1
+            self.ledger.charge(Category.PAGE_WALK, levels * self._walk_cost)
+            # The fix maps the page read/write/execute and sfences it, so
+            # the retry walks again and cannot decline; the per-access
+            # path performs no timer check in between either.
+            self._sm_fault(session, gva, leaf_slot)
+        raise ConfigurationError(
+            f"guest access at {gva:#x} did not make progress after 8 faults"
+        )
 
     def _engine_seq(self, session: GuestSession, op: str, gva0: int, step: int,
                     count: int, size: int, values, gvas, key,
                     start: int = 0, out=None):
-        """The live per-access engine: TLB probe, walk, fault fix, record.
+        """The live sequence engine: step each access, move data, record.
 
-        Per access this performs exactly the architectural sequence the
-        per-element :meth:`guest_access` loop performs -- same timer
-        check, same TLB statistics and LRU motion, same charges in the
-        same order -- but with translation inlined for the common
-        outcomes.  Anything unusual (MMIO or shared-region addresses,
-        permission-insufficient entries, faults that cannot take the SM's
-        fused fix, VS-stage paging enabled upstream) detours that one
-        access through the generic :meth:`guest_access` *before* any
-        charge or mutation, so the detour is invisible.
-
-        A clean pure-flavor run starting at ``start == 0`` is recorded
+        Each access goes through :meth:`_access_one`; one it declines
+        takes the generic :meth:`guest_access` instead, so every access
+        performs exactly what the per-element loop would.  A clean
+        pure-flavor run starting at ``start == 0`` (all TLB hits, or all
+        fills of distinct pages, and no fault or fallback) is recorded
         under ``key`` for future replay.
         """
-        ledger = self.ledger
-        charge = ledger.charge
-        tlb = self.translator.tlb
-        entries = tlb._entries
-        entries_get = entries.get
-        move_to_end = entries.move_to_end
-        insert = tlb.insert
-        charge_tlb_hit = self.translator._charge_tlb_hit
-        charge_compute = self._charge_seq_compute
-        probe = self.translator.probe_gpa
-        va_limit = self.translator.sv39x4._va_limit
-        walk_cost = int(self.costs.page_walk_level)
-        hart = session.hart
-        hart_id = hart.hart_id
-        mtimecmp = self.clint._mtimecmp
-        check_timer = self.check_timer
-        vmid = session.vmid
-        root = session.hgatp_root
-        cpu_check = self.bus._cpu_check
+        access_one = self._access_one
         guest_access = self.guest_access
+        charge_compute = self._charge_seq_compute
         dram = self.dram
         read_u64 = dram.read_u64
         dread = dram.read
         write_u64 = dram.write_u64
         dwrite = dram.write
-        confidential = session.kind is VmKind.CONFIDENTIAL
-        layout = session.layout
-        if confidential:
-            private_lo = layout.dram_base
-            private_hi = private_lo + layout.dram_size
-        else:
-            mmio_lo = layout.mmio_base
-            mmio_hi = mmio_lo + layout.mmio_size
+        vmid = session.vmid
         access = AccessType.STORE if op == "S" else AccessType.LOAD
-        required = access.required_pte_bit
-        # The SM's fused fault fix applies only when the fault would route
-        # to M mode with nobody observing the piecewise handler.  Routing
-        # depends only on the delegation CSRs, which world switches restore
-        # identically, so one check covers the whole sequence.
-        fault_direct = (
-            confidential
-            and self.fault_observer is None
-            and route_exception(
-                guest_page_fault_for(access), hart.mode, hart.medeleg, hart.hedeleg
-            ) is PrivilegeMode.M
-        )
-        monitor = self.monitor
-        cvm = session.cvm
-        vcpu_id = session.vcpu_id
         mask64 = (1 << 64) - 1
         small = min(size, 8)
         small_mask = (1 << (8 * small)) - 1
@@ -733,108 +713,38 @@ class Machine:
         rec_walks: list = []
         any_hit = any_miss = False
 
-        i = start
-        while i < count:
+        for i in range(start, count):
             gva = gvas[i] if gvas is not None else gva0 + i * step
-            if ledger._total >= mtimecmp[hart_id]:
-                check_timer(session)
-            engine_ok = (
-                private_lo <= gva < private_hi
-                if confidential
-                else not mmio_lo <= gva < mmio_hi
-            )
-            pa = 0
-            if engine_ok:
-                for _attempt in range(8):
-                    key2 = (vmid, gva >> 12)
-                    entry = entries_get(key2)
-                    if entry is not None:
-                        ppage, flags = entry
-                        if not flags & required:
-                            # Hardware re-walks; take the generic path (the
-                            # probe above mutated nothing).
-                            engine_ok = False
-                            break
-                        tlb.hits += 1
-                        move_to_end(key2)
-                        charge_tlb_hit()
-                        pa = ppage << 12 | gva & 0xFFF
-                        if recording:
-                            if any_miss:
-                                recording = False
-                            else:
-                                any_hit = True
-                                rec_keys.append(key2)
-                                rec_pas.append(pa)
-                                rec_entries.append(entry)
-                        break
-                    if not 0 <= gva < va_limit:
-                        engine_ok = False
-                        break
-                    wpa, wflags, levels, leaf_slot = probe(root, gva)
-                    if wpa is not None:
-                        if not wflags & required:
-                            engine_ok = False
-                            break
-                        tlb.misses += 1
-                        charge(Category.PAGE_WALK, levels * walk_cost)
-                        cpu_check(hart, wpa, 1, access)
-                        insert(vmid, gva >> 12, wpa >> 12, wflags)
-                        pa = wpa
-                        if recording:
-                            if any_hit:
-                                recording = False
-                            else:
-                                any_miss = True
-                                rec_keys.append(key2)
-                                rec_pas.append(pa)
-                                rec_entries.append((wpa >> 12, wflags))
-                                rec_walks.append(levels * walk_cost)
-                        break
-                    # Invalid walk: a stage-2 guest page fault.
-                    if not fault_direct:
-                        engine_ok = False
-                        break
-                    recording = False
-                    tlb.misses += 1
-                    charge(Category.PAGE_WALK, levels * walk_cost)
-                    if not leaf_slot or not monitor.fault_fix_fast(
-                        cvm, vcpu_id, gva, leaf_slot
-                    ):
-                        monitor.handle_guest_page_fault(hart, cvm, vcpu_id, gva)
-                    # Retry in-engine: charges already landed, and the
-                    # per-access loop performs no extra timer check between
-                    # a fault fix and its retry.
-                else:
-                    raise ConfigurationError(
-                        f"guest access at {gva:#x} did not make progress after 8 faults"
-                    )
-            if not engine_ok:
+            stepped = access_one(session, gva, access)
+            if stepped is not None:
+                pa, entry, walk = stepped
+                if recording:
+                    if walk is None:
+                        if any_miss:
+                            recording = False
+                        else:
+                            any_hit = True
+                            rec_keys.append((vmid, gva >> 12))
+                            rec_pas.append(pa)
+                            rec_entries.append(entry)
+                    elif walk is _FAULTED or any_hit:
+                        recording = False
+                    else:
+                        any_miss = True
+                        rec_keys.append((vmid, gva >> 12))
+                        rec_pas.append(pa)
+                        rec_entries.append(entry)
+                        rec_walks.append(walk)
+            else:
                 recording = False
                 if op == "S":
-                    value = values[i]
-                    self._pending_store_value = value & mask64
-                    res, kind = guest_access(session, gva, access, size)
+                    self._pending_store_value = values[i] & mask64
+                pa, kind = guest_access(session, gva, access, size)
+                if kind == "mmio":
                     charge_compute()
-                    if kind != "mmio":
-                        if aligned8 and not res & 7:
-                            write_u64(res, value)
-                        else:
-                            dwrite(res, (value & small_mask).to_bytes(small, "little"))
-                elif op == "L":
-                    res, kind = guest_access(session, gva, access, size)
-                    charge_compute()
-                    if kind == "mmio":
-                        append(res)
-                    elif aligned8 and not res & 7:
-                        append(read_u64(res))
-                    else:
-                        append(int.from_bytes(dread(res, small), "little"))
-                else:
-                    guest_access(session, gva, access, 1)
-                    charge_compute()
-                i += 1
-                continue
+                    if op == "L":
+                        append(pa)
+                    continue
             charge_compute()
             if op == "L":
                 if aligned8 and not pa & 7:
@@ -847,7 +757,6 @@ class Machine:
                     write_u64(pa, value)
                 else:
                     dwrite(pa, (value & small_mask).to_bytes(small, "little"))
-            i += 1
 
         if op == "S":
             # Residual-state parity: the per-access loop leaves the last
@@ -873,7 +782,7 @@ class Machine:
                         break
                 if consistent:
                     self._trace_cache.put(key, SeqTrace(
-                        "hit", token, tlb.generation, rec_keys, rec_pas,
+                        "hit", token, self.translator.tlb.generation, rec_keys, rec_pas,
                         None, None, expected,
                     ))
         return out
@@ -1096,18 +1005,7 @@ class Machine:
         if layout.in_private_dram(gpa):
             # Stage-2 fault on private memory: the SM resolves it alone --
             # no world switch, the whole point of SM-side allocation.
-            # Spans are charge-free snapshots, so opening one only matters
-            # when an observer will read it.
-            if self.fault_observer is None:
-                self.monitor.handle_guest_page_fault(
-                    session.hart, session.cvm, session.vcpu_id, gpa
-                )
-                return None
-            with self.ledger.span() as span:
-                stage = self.monitor.handle_guest_page_fault(
-                    session.hart, session.cvm, session.vcpu_id, gpa
-                )
-            self.fault_observer("sm", stage, span.cycles)
+            self._sm_fault(session, gpa)
             return None
         if layout.in_mmio(gpa):
             return self._emulate_mmio_cvm(session, gpa, access)
@@ -1128,6 +1026,25 @@ class Machine:
         raise SecurityViolation(
             f"CVM {session.cvm.cvm_id} faulted outside every region: GPA {gpa:#x}"
         )
+
+    def _sm_fault(self, session: GuestSession, gpa: int, leaf_slot: int = 0) -> None:
+        """Run the SM's stage-2 fault handler for a private-DRAM fault.
+
+        Both the engine step and the generic trap dispatch come here, so
+        observing faults never changes which code handles them.  Spans
+        are charge-free snapshots: one is opened only for an observer.
+        """
+        monitor = self.monitor
+        if self.fault_observer is None:
+            monitor.handle_guest_page_fault(
+                session.hart, session.cvm, session.vcpu_id, gpa, leaf_slot
+            )
+            return
+        with self.ledger.span() as span:
+            stage = monitor.handle_guest_page_fault(
+                session.hart, session.cvm, session.vcpu_id, gpa, leaf_slot
+            )
+        self.fault_observer("sm", stage, span.cycles)
 
     def _emulate_mmio_cvm(self, session: GuestSession, gpa: int, access: AccessType):
         """The full MMIO exit: SM -> hypervisor/QEMU -> SM -> guest."""
@@ -1178,7 +1095,8 @@ class Machine:
     _normal_irq_flag: bool = False
     #: Optional instrumentation: ``callable(kind, stage, cycles)`` invoked
     #: after every stage-2 fault is handled ("kvm" or "sm" paths).  Used
-    #: by the E3 experiment harness.
+    #: by the E3 experiment harness; setting it never changes which code
+    #: handles a fault.
     fault_observer = None
 
 
@@ -1217,39 +1135,40 @@ class GuestContext:
     def load(self, gva: int, size: int = 8) -> int:
         """Guest load; returns the value (integers up to 8 bytes)."""
         machine = self.machine
-        if machine._trace_cache is not None and self.session.vsatp_root is None:
-            pa = machine._access_one(self.session, gva, AccessType.LOAD)
-            if pa is not None:
+        stepped = (
+            machine._access_one(self.session, gva, AccessType.LOAD)
+            if machine._trace_cache is not None and self.session.vsatp_root is None
+            else None
+        )
+        if stepped is not None:
+            pa = stepped[0]
+        else:
+            pa, kind = machine.guest_access(self.session, gva, AccessType.LOAD, size)
+            if kind == "mmio":
                 self._charge_access()
-                if size == 8 and not pa & 7:
-                    return machine.dram.read_u64(pa)
-                return int.from_bytes(machine.dram.read(pa, min(size, 8)), "little")
-        value, kind = machine.guest_access(self.session, gva, AccessType.LOAD, size)
+                return pa
         self._charge_access()
-        if kind == "mmio":
-            return value
-        if size == 8 and not value & 7:
-            return machine.dram.read_u64(value)
-        data = machine.dram.read(value, min(size, 8))
-        return int.from_bytes(data, "little")
+        if size == 8 and not pa & 7:
+            return machine.dram.read_u64(pa)
+        return int.from_bytes(machine.dram.read(pa, min(size, 8)), "little")
 
     def store(self, gva: int, value: int, size: int = 8) -> None:
         """Guest store of an integer value."""
         machine = self.machine
         machine._pending_store_value = value & (1 << 64) - 1
-        if machine._trace_cache is not None and self.session.vsatp_root is None:
-            pa = machine._access_one(self.session, gva, AccessType.STORE)
-            if pa is not None:
+        stepped = (
+            machine._access_one(self.session, gva, AccessType.STORE)
+            if machine._trace_cache is not None and self.session.vsatp_root is None
+            else None
+        )
+        if stepped is not None:
+            pa = stepped[0]
+        else:
+            pa, kind = machine.guest_access(self.session, gva, AccessType.STORE, size)
+            if kind == "mmio":
                 self._charge_access()
-                if size == 8 and not pa & 7:
-                    machine.dram.write_u64(pa, value)
-                    return
-                machine.dram.write(pa, (value & (1 << (8 * min(size, 8))) - 1).to_bytes(min(size, 8), "little"))
                 return
-        pa, kind = machine.guest_access(self.session, gva, AccessType.STORE, size)
         self._charge_access()
-        if kind == "mmio":
-            return
         if size == 8 and not pa & 7:
             machine.dram.write_u64(pa, value)
             return
@@ -1327,12 +1246,14 @@ class GuestContext:
         offset = 0
         while offset < len(data):
             chunk = min(len(data) - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            pa = (
+            stepped = (
                 machine._access_one(self.session, gva + offset, AccessType.STORE)
                 if fast
                 else None
             )
-            if pa is None:
+            if stepped is not None:
+                pa = stepped[0]
+            else:
                 pa, kind = machine.guest_access(
                     self.session, gva + offset, AccessType.STORE, chunk
                 )
@@ -1350,12 +1271,14 @@ class GuestContext:
         offset = 0
         while offset < length:
             chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            pa = (
+            stepped = (
                 machine._access_one(self.session, gva + offset, AccessType.LOAD)
                 if fast
                 else None
             )
-            if pa is None:
+            if stepped is not None:
+                pa = stepped[0]
+            else:
                 pa, kind = machine.guest_access(
                     self.session, gva + offset, AccessType.LOAD, chunk
                 )

@@ -112,7 +112,7 @@ class AddressTranslator:
         return result.pa, result.flags
 
     def probe_gpa(self, hgatp_root: int, gpa: int) -> tuple:
-        """Uncharged, non-mutating G-stage walk for the batched access engine.
+        """Uncharged, non-mutating G-stage walk for the engine's access step.
 
         Returns ``(pa, flags, levels, leaf_slot)``:
 
@@ -121,8 +121,8 @@ class AddressTranslator:
         - invalid: ``pa`` is ``None``, ``levels`` is the reads a charged
           walk would perform before faulting, and ``leaf_slot`` is the
           physical slot of the invalid *full-depth* leaf PTE (0 when an
-          intermediate table is missing -- the SM's fused fault fix needs
-          the leaf slot to already exist).
+          intermediate table is missing); the SM's fault handler writes
+          the new leaf PTE straight into that slot.
 
         The caller charges ``levels * page_walk_level`` itself once it
         commits to an outcome; probing performs no charge and no TLB or
@@ -138,7 +138,7 @@ class AddressTranslator:
         table = hgatp_root
         for depth in range(sv.levels):
             slot = table + 8 * ((gpa >> shifts[depth]) & masks[depth])
-            pte = read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (batched engine and fused SM fault path both do)
+            pte = read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; the engine step charges levels*page_walk_level in bulk once it commits to a fill or a fault
             if not pte & 1:  # PTE_V
                 return None, 0, depth + 1, slot if depth == last else 0
             if pte & 0b1110:  # leaf (R|W|X)

@@ -24,8 +24,10 @@ Security comes from two facts this module enforces/validates:
 from __future__ import annotations
 
 from repro.cycles import Category, CycleCosts, CycleLedger
-from repro.errors import SecurityViolation
-from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_W, PTE_X, Sv39x4, pte_is_leaf, pte_target
+from repro.errors import MemoryError_, SecurityViolation
+from repro.mem.pagetable import (
+    PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, Sv39x4, pte_is_leaf, pte_pack, pte_target,
+)
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import ConfidentialVm
 from repro.sm.secmem import SecureMemoryPool
@@ -96,18 +98,6 @@ class SplitTableManager:
         cvm.shared_subtrees[root_index] = table_pa
         self.map_generation += 1
 
-    def note_external_leaf_install(self) -> None:
-        """Seam for PTE installs performed outside this manager.
-
-        The monitor's fused fault path writes the leaf PTE itself (it
-        already holds the probed slot address), but the map epoch and
-        the walk charge belong to the split-table manager: every writer
-        of ``map_generation`` must be a method of its owner, or the SMP
-        refactor cannot wrap the epoch in a lock (ZL5).
-        """
-        self.map_generation += 1
-        self._charge_map_walk()
-
     def _validate_subtree(self, table_pa: int, depth: int) -> None:
         """Reject any existing PTE in a donated subtree that reaches the pool.
 
@@ -152,12 +142,18 @@ class SplitTableManager:
         alloc_table,
         writable: bool = True,
         executable: bool = True,
+        leaf_slot: int = 0,
     ) -> None:
         """Map a private-region GPA to a secure frame (SM raw access).
 
         ``alloc_table`` must return zeroed secure-pool pages (the paper's
         controlled-channel defence: CVM page tables never leave the pool).
         Enforces CVM-disjointness: the frame must be owned by this CVM.
+
+        A non-zero ``leaf_slot`` is the physical address of ``gpa``'s
+        full-depth leaf PTE under this CVM's root, as the faulting
+        hardware walk found it (every intermediate table present): the
+        PTE is written there directly instead of walking the table again.
         """
         if not cvm.layout.in_private_dram(gpa):
             raise SecurityViolation(
@@ -170,9 +166,15 @@ class SplitTableManager:
                 f"frame {pa:#x} is owned by {owner!r}, not CVM {cvm.cvm_id}"
             )
         flags = PTE_R | PTE_U | PTE_D | (PTE_W if writable else 0) | (PTE_X if executable else 0)
-        tables = self._sv39x4.map(
-            self._accessor, cvm.hgatp_root, gpa, pa, flags, alloc_table
-        )
+        if leaf_slot:
+            if self._dram.read_u64(leaf_slot) & PTE_V:
+                raise MemoryError_(f"{gpa:#x} is already mapped")
+            self._dram.write_u64(leaf_slot, pte_pack(pa, flags | PTE_V))
+            tables = ()
+        else:
+            tables = self._sv39x4.map(
+                self._accessor, cvm.hgatp_root, gpa, pa, flags, alloc_table
+            )
         self.map_generation += 1
         for table in tables:
             if not self._pool.contains(table, PAGE_SIZE):

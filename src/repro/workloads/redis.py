@@ -182,7 +182,10 @@ class RedisServer:
     def __init__(self, clock=None):
         self.strings: dict[bytes, bytes] = {}
         self.lists: dict[bytes, list] = {}
-        self.sets: dict[bytes, set] = {}
+        #: Set members as insertion-ordered dict keys: a Python ``set`` of
+        #: bytes iterates in hash order, which follows PYTHONHASHSEED, so
+        #: SPOP's choice (and the cycles it costs) would vary per process.
+        self.sets: dict[bytes, dict] = {}
         self.hashes: dict[bytes, dict] = {}
         self.expiries: dict[bytes, float] = {}
         self.clock = clock if clock is not None else (lambda: 0.0)
@@ -278,7 +281,7 @@ class RedisServer:
         return resp_integer(len(self.lists.get(bytes(args[0]), [])))
 
     def _cmd_scard(self, args):
-        return resp_integer(len(self.sets.get(bytes(args[0]), set())))
+        return resp_integer(len(self.sets.get(bytes(args[0]), ())))
 
     def _cmd_hget(self, args):
         return resp_bulk(self.hashes.get(bytes(args[0]), {}).get(bytes(args[1])))
@@ -317,19 +320,19 @@ class RedisServer:
         return resp_bulk(lst.pop() if lst else None)
 
     def _cmd_sadd(self, args):
-        target = self.sets.setdefault(bytes(args[0]), set())
+        target = self.sets.setdefault(bytes(args[0]), {})
         added = 0
         for item in args[1:]:
             if bytes(item) not in target:
-                target.add(bytes(item))
+                target[bytes(item)] = None
                 added += 1
         return resp_integer(added)
 
     def _cmd_spop(self, args):
-        target = self.sets.get(bytes(args[0]), set())
+        target = self.sets.get(bytes(args[0]))
         if not target:
             return resp_bulk(None)
-        return resp_bulk(target.pop())
+        return resp_bulk(target.popitem()[0])  # the newest member
 
     def _cmd_hset(self, args):
         target = self.hashes.setdefault(bytes(args[0]), {})

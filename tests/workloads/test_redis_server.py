@@ -1,6 +1,13 @@
 """The in-guest mini-Redis: RESP protocol and command semantics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.workloads.redis import (
     RedisServer,
@@ -96,6 +103,27 @@ class TestSetHashCommands:
         run(server, "SADD", "s", "only")
         assert run(server, "SPOP", "s") == b"$4\r\nonly\r\n"
         assert run(server, "SPOP", "s") == b"$-1\r\n"
+
+    def test_spop_ignores_hash_seed(self):
+        """SPOP's choice must not follow PYTHONHASHSEED (hash-ordered sets do)."""
+        script = (
+            "from repro.workloads.redis import RedisServer\n"
+            "server = RedisServer()\n"
+            "members = [b'member:%d' % i for i in range(32)]\n"
+            "server.execute([b'SADD', b's', *members])\n"
+            "print([server.execute([b'SPOP', b's']) for _ in range(33)])\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        replies = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            replies.append(done.stdout)
+        assert replies[0] == replies[1]
+        assert replies[0].count("$-1") == 1  # drained after 32 pops
 
     def test_hset(self, server):
         assert run(server, "HSET", "h", "f", "1") == b":1\r\n"
