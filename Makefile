@@ -76,10 +76,11 @@ linkcheck:
 faults:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro faults --seeds 25
 
+# Run every example script; fails on the first non-zero exit.
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$script || exit 1; \
 	done
 
 clean:

@@ -22,16 +22,6 @@ from repro.sm.channel import ChannelState
 from repro.verify import check_invariants
 
 
-class _Raw:
-    """Raw (M-mode view) PTE accessor for invariant walks."""
-
-    def __init__(self, dram):
-        self._dram = dram
-
-    def read_u64(self, addr: int) -> int:
-        return self._dram.read_u64(addr)
-
-
 def _check_channel_ownership(machine) -> list:
     violations = []
     pool = machine.monitor.pool
@@ -55,11 +45,11 @@ def _check_hypervisor_roots(machine) -> list:
     violations = []
     pool = machine.monitor.pool
     walker = Sv39x4()
-    raw = _Raw(machine.dram)
     for vm in machine.hypervisor.normal_vms:
         if vm.hgatp_root is None:
             continue
-        for gpa, pa, _flags, _level in walker.iter_leaves(raw, vm.hgatp_root):
+        _tables, leaves = walker.scan(machine.dram, vm.hgatp_root)
+        for gpa, pa, _flags, _level in leaves:
             if pool.contains(pa, 1):
                 violations.append(
                     f"H1: normal VM {vm.name!r} maps GPA {gpa:#x} to "

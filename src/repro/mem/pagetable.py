@@ -16,6 +16,9 @@ alignment requirement.
 
 from __future__ import annotations
 
+import struct
+from itertools import compress
+
 from repro.errors import MemoryError_
 from repro.isa.traps import AccessType
 from repro.mem.physmem import PAGE_SIZE
@@ -110,6 +113,11 @@ class PageTable:
         self._masks = tuple((1 << bits) - 1 for bits in self.vpn_bits)
         self._spans = tuple(PAGE_SIZE << (shift - 12) for shift in self._shifts)
         self._va_limit = 1 << self.va_bits
+        # One whole-page PTE unpacker per depth, for :meth:`scan`.
+        self._table_layouts = tuple(
+            struct.Struct(f"<{self.root_entries if depth == 0 else 512}Q")
+            for depth in range(self.levels)
+        )
 
     @property
     def root_entries(self) -> int:
@@ -258,6 +266,41 @@ class PageTable:
                 yield va, pte_target(pte), pte & 0xFF, self.levels - 1 - depth
             else:
                 yield from self._iter(accessor, pte_target(pte), depth + 1, va)
+
+    def scan(self, dram, root_pa: int) -> tuple:
+        """Return ``(tables, leaves)`` for the tree at ``root_pa`` in one pass.
+
+        The lists :meth:`iter_tables` and :meth:`iter_leaves` yield, in the
+        same order, read straight from raw DRAM (the M-mode view): each
+        table page is read once with ``dram.read`` and unpacked whole, so
+        the invariant sweep and migration export pay one call per table
+        page instead of one accessor call per PTE.  A table pointer
+        outside DRAM raises :class:`MemoryError_` like an accessor read.
+        A valid non-leaf PTE at the last level is not followed (the
+        hardware walk faults there); :meth:`iter_leaves` would descend.
+        """
+        tables = [root_pa]
+        leaves = []
+        self._scan(dram, root_pa, 0, 0, tables, leaves)
+        return tables, leaves
+
+    def _scan(self, dram, table: int, depth: int, va_prefix: int, tables: list, leaves: list):
+        layout = self._table_layouts[depth]
+        entries = layout.unpack(dram.read(table, layout.size))
+        shift = self._shifts[depth]
+        level = self.levels - 1 - depth
+        # ``compress`` skips the zero PTEs (almost all of them) in C.
+        for index in compress(range(len(entries)), entries):
+            pte = entries[index]
+            if not pte & PTE_V:
+                continue
+            va = va_prefix | index << shift
+            target = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
+            if pte & 0b1110:  # leaf (R|W|X)
+                leaves.append((va, target, pte & 0xFF, level))
+            elif level:
+                tables.append(target)
+                self._scan(dram, target, depth + 1, va, tables, leaves)
 
     def iter_tables(self, accessor, root_pa: int):
         """Yield the physical address of every table page (root included)."""

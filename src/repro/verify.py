@@ -20,6 +20,11 @@ I6. the IOPMP denies DMA into every pool region, for any source id;
 I7. free pool pages are zero (scrubbing actually happened);
 I8. SM metadata pages (page tables) are never mapped into any CVM.
 
+Each CVM's stage-2 tree is read once per sweep, by
+:meth:`~repro.mem.pagetable.PageTable.scan`: one bulk read of raw DRAM
+per table page (never the SM's bookkeeping of what it mapped), and that
+single pass feeds I1, I2, I4 and I8.
+
 Each violation is reported as a string; an empty list means the machine
 is consistent.  :func:`assert_invariants` raises on the first report.
 """
@@ -35,21 +40,12 @@ from repro.sm.cvm import CvmState
 from repro.sm.secmem import OWNER_FREE, OWNER_SM
 
 
-class _Raw:
-    def __init__(self, dram):
-        self._dram = dram
-
-    def read_u64(self, addr):
-        return self._dram.read_u64(addr)
-
-
 def check_invariants(machine) -> list:
     """Sweep the machine; returns a list of violation descriptions."""
     violations: list[str] = []
     monitor = machine.monitor
     pool = monitor.pool
     walker = Sv39x4()
-    raw = _Raw(machine.dram)
 
     live_cvms = [
         cvm for cvm in monitor.cvms.values() if cvm.state is not CvmState.DESTROYED
@@ -80,10 +76,10 @@ def check_invariants(machine) -> list:
                 f"I1: CVM {cvm.cvm_id} root {cvm.hgatp_root:#x} outside the pool"
             )
         shared_split = monitor.split.shared_root_index_base(cvm)
-        for table in walker.iter_tables(raw, cvm.hgatp_root):
-            all_table_pages.add(table)
+        tables, leaves = walker.scan(machine.dram, cvm.hgatp_root)
+        all_table_pages.update(tables)
         frames = set()
-        for gpa, pa, _flags, _level in walker.iter_leaves(raw, cvm.hgatp_root):
+        for gpa, pa, _flags, _level in leaves:
             if cvm.layout.in_private_dram(gpa):
                 page = pa & ~(PAGE_SIZE - 1)
                 if page in channel_frames.get(cvm.cvm_id, ()):

@@ -157,9 +157,10 @@ class TestZL3PathSensitive:
             "sm/divergent.py",
             """
             class Store:
-                def __init__(self, dram, ledger):
+                def __init__(self, dram, ledger, sv):
                     self._dram = dram
                     self._ledger = ledger
+                    self._sv39x4 = sv
 
                 def op(self, fast, addr):
                     if fast:
@@ -167,10 +168,17 @@ class TestZL3PathSensitive:
                     else:
                         fast = not fast
                     return self._dram.read_u64(addr)
+
+                def tables(self, fast, root):
+                    if fast:
+                        self._ledger.charge(1, 2)
+                    return self._sv39x4.scan(self._dram, root)
             """,
         )
         report = run_lint([tmp_path])
         assert _rules(report) == ["ZL3"]
+        assert sorted(f.func for f in report.new) == ["Store.op", "Store.tables"]
+        assert any("'scan'" in f.message for f in report.new)
 
     def test_charge_on_both_branches_covers_the_touch(self, tmp_path):
         _write(

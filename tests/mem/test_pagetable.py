@@ -204,3 +204,25 @@ class TestSv39x4:
         tables = list(pt.iter_tables(acc, root))
         assert tables[0] == root
         assert len(tables) == 3  # root + two intermediate levels
+
+    def test_scan_raises_on_a_table_pointer_outside_dram(self, acc, dram):
+        pt = Sv39x4()
+        root = BASE + 0xB00000
+        dram.zero_range(root, pt.root_size)
+        outside = BASE + (64 << 20)
+        dram.write_u64(root + 8 * 3, pte_pack(outside, PTE_V))
+        with pytest.raises(MemoryError_):
+            list(pt.iter_tables(acc, root))
+        with pytest.raises(MemoryError_):
+            pt.scan(dram, root)
+
+    def test_scan_stops_at_a_pointer_in_a_last_level_slot(self, acc, dram, table_alloc):
+        """A V-only PTE at the leaf level maps nothing (the walk faults)."""
+        pt = Sv39x4()
+        root = BASE + 0xC00000
+        dram.zero_range(root, pt.root_size)
+        pt.map(acc, root, 0x8000_0000, BASE, PTE_R, table_alloc)
+        tables, _leaves = pt.scan(dram, root)
+        dram.write_u64(tables[-1] + 8, pte_pack(BASE + 0x20_0000, PTE_V))
+        assert pt.walk(acc, root, 0x8000_1000) is None
+        assert pt.scan(dram, root) == (tables, [(0x8000_0000, BASE, PTE_R | PTE_V, 0)])

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.pagetable import PTE_R, PTE_W, PTE_X, Sv39, Sv39x4
+from repro.errors import MemoryError_
+from repro.mem.pagetable import PTE_R, PTE_V, PTE_W, PTE_X, Sv39, Sv39x4, pte_pack
 from repro.mem.physmem import PAGE_SIZE, PhysicalMemory
 
 BASE = 0x8000_0000
@@ -35,6 +36,14 @@ def _env(scheme):
     return dram, Raw(dram), root, alloc
 
 
+def _assert_scan_matches(scheme, dram, acc, root):
+    """The one-pass bulk scan returns exactly what the accessor walks yield."""
+    assert scheme.scan(dram, root) == (
+        list(scheme.iter_tables(acc, root)),
+        list(scheme.iter_leaves(acc, root)),
+    )
+
+
 va_pages_39 = st.integers(min_value=0, max_value=(1 << 27) - 1)
 va_pages_41 = st.integers(min_value=0, max_value=(1 << 29) - 1)
 pa_pages = st.integers(min_value=1 << 20, max_value=(1 << 20) + 4096)
@@ -56,6 +65,7 @@ def test_walk_returns_exactly_what_was_mapped(mapping):
         (va >> 12, pa) for va, pa, _f, _l in scheme.iter_leaves(acc, root)
     )
     assert set(leaves) == set(mapping)
+    _assert_scan_matches(scheme, dram, acc, root)
 
 
 @settings(max_examples=50, deadline=None)
@@ -76,6 +86,7 @@ def test_unmap_removes_only_the_target(va_pages, data):
     for va_page in va_pages:
         if va_page != victim:
             assert scheme.walk(acc, root, va_page << 12) is not None
+    _assert_scan_matches(scheme, dram, acc, root)  # emptied tables remain
 
 
 @settings(max_examples=50, deadline=None)
@@ -86,6 +97,7 @@ def test_offset_preserved_through_translation(va_page, offset):
     scheme.map(acc, root, va_page << 12, BASE + 0x200_0000, PTE_R, alloc)
     result = scheme.walk(acc, root, (va_page << 12) | offset)
     assert result.pa == BASE + 0x200_0000 + offset
+    _assert_scan_matches(scheme, dram, acc, root)
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,3 +112,33 @@ def test_tables_and_leaves_never_alias(va_pages):
     tables = set(scheme.iter_tables(acc, root))
     leaves = {pa for _va, pa, _f, _l in scheme.iter_leaves(acc, root)}
     assert not tables & leaves
+    _assert_scan_matches(scheme, dram, acc, root)
+
+
+@pytest.mark.parametrize("scheme", [Sv39(), Sv39x4()], ids=["sv39", "sv39x4"])
+@settings(max_examples=40, deadline=None)
+@given(
+    maps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=(1 << 29) - 1),
+                  st.integers(min_value=0, max_value=2)),
+        min_size=1, max_size=24,
+    ),
+    dangling=st.sets(st.integers(min_value=0, max_value=2047), max_size=6),
+)
+def test_scan_matches_the_accessor_walks(scheme, maps, dangling):
+    """4 KB pages and superpages, plus root pointers to table pages that
+    were never written (so never materialised in the sparse DRAM)."""
+    dram, acc, root, alloc = _env(scheme)
+    for i, (va_page, level) in enumerate(maps):
+        span_pages = 1 << 9 * level
+        va = (va_page % (1 << scheme.va_bits - 12)) // span_pages * span_pages << 12
+        pa = (i + 1) * span_pages << 12
+        try:
+            scheme.map(acc, root, va, pa, PTE_R | PTE_W, alloc, level=level)
+        except MemoryError_:
+            pass  # overlaps an earlier leaf or superpage
+    for index in sorted(dangling):
+        slot = root + 8 * (index % scheme.root_entries)
+        if not acc.read_u64(slot) & PTE_V:
+            acc.write_u64(slot, pte_pack(alloc(), PTE_V))
+    _assert_scan_matches(scheme, dram, acc, root)

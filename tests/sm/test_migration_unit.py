@@ -1,7 +1,10 @@
 """Migration module internals: keystream, framing, key derivation."""
 
+import hashlib
+
 import pytest
 
+from repro import Machine, MachineConfig
 from repro.sm.migration import _keystream, _mac, _xor, derive_migration_key
 
 
@@ -22,6 +25,34 @@ class TestKeystream:
         stream = _keystream(b"k" * 32, 32)
         data = bytes(range(32))
         assert _xor(_xor(data, stream), stream) == data
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1_000, 400_000])
+    def test_xor_matches_the_per_byte_form(self, length):
+        data = hashlib.sha256(b"plain").digest() * (length // 32 + 1)
+        data = data[:length]
+        stream = _keystream(b"k" * 32, length)
+        assert _xor(data, stream) == bytes(a ^ b for a, b in zip(data, stream))
+
+
+class TestSealedBlob:
+    def test_export_blob_is_pinned(self):
+        """The sealed bytes of a fixed CVM under a fixed key never drift.
+
+        The digest was recorded before the whole-buffer XOR and the bulk
+        table scan replaced the per-byte XOR and the per-PTE walk.
+        """
+        machine = Machine(MachineConfig())
+        session = machine.launch_confidential_vm(image=b"pin" * 1000)
+        base = session.layout.dram_base + (8 << 20)
+        machine.run(
+            session, lambda ctx: ctx.write_bytes(base, bytes(range(256)) * 40)
+        )
+        key = derive_migration_key(b"fleet", b"src", b"dst")
+        blob = machine.export_confidential_vm(session, key)
+        assert len(blob) == 17_567
+        assert hashlib.sha256(blob).hexdigest() == (
+            "11ebb83c51720699d07da51c983061a9cdbbc379ada31ea5f5f2f8c947579d78"
+        )
 
 
 class TestMac:

@@ -3,8 +3,28 @@
 import pytest
 
 from repro import Machine, MachineConfig
+from repro.faults.invariants import check_postconditions
+from repro.mem.pagetable import pte_is_leaf, pte_pack, pte_target
 from repro.mem.physmem import PAGE_SIZE
 from repro.verify import assert_invariants, check_invariants
+
+
+def _leaf_slot(machine, root, gpa):
+    """Physical address of the Sv39x4 leaf PTE mapping ``gpa``."""
+    table = root
+    for shift, mask in ((30, 0x7FF), (21, 0x1FF), (12, 0x1FF)):
+        slot = table + 8 * (gpa >> shift & mask)
+        pte = machine.dram.read_u64(slot)
+        assert pte & 1, f"{gpa:#x} is not mapped"
+        if pte_is_leaf(pte):
+            return slot
+        table = pte_target(pte)
+    raise AssertionError(f"no leaf maps {gpa:#x}")
+
+
+def _retarget(machine, slot, pa):
+    """Point the leaf PTE at ``slot`` at ``pa``, keeping its flags."""
+    machine.dram.write_u64(slot, pte_pack(pa, machine.dram.read_u64(slot) & 0xFF))
 
 
 class TestCleanMachines:
@@ -123,3 +143,34 @@ class TestCorruptionDetected:
         machine.iopmp.clear()
         with pytest.raises(AssertionError, match="I6"):
             assert_invariants(machine)
+
+    def test_private_leaf_to_non_pool_pa_detected(self, machine):
+        session = machine.launch_confidential_vm(image=b"x" * 4096)
+        gpa = session.layout.dram_base
+        slot = _leaf_slot(machine, session.cvm.hgatp_root, gpa)
+        non_pool = machine.dram.base
+        assert not machine.monitor.pool.contains(non_pool, 1)
+        _retarget(machine, slot, non_pool)
+        violations = check_invariants(machine)
+        assert any(v.startswith("I2") and "non-pool" in v for v in violations)
+
+    def test_private_leaf_to_own_table_page_detected(self, machine):
+        session = machine.launch_confidential_vm(image=b"x" * 4096)
+        root = session.cvm.hgatp_root
+        slot = _leaf_slot(machine, root, session.layout.dram_base)
+        # The table page holding the leaf PTE itself: mapping it would let
+        # the guest rewrite its own stage-2 translations.
+        _retarget(machine, slot, slot & ~(PAGE_SIZE - 1))
+        violations = check_invariants(machine)
+        assert any(v.startswith("I8") and "page-table pages" in v for v in violations)
+
+    def test_normal_vm_leaf_into_secure_pool_detected(self, machine):
+        session = machine.launch_normal_vm()
+        gpa = session.layout.dram_base + 0x5000
+        machine.run(session, lambda ctx: ctx.store(gpa, 1))
+        assert check_postconditions(machine) == []
+        vm = machine.hypervisor.normal_vms[0]
+        pool_page = machine.monitor.pool.regions[0][0]
+        _retarget(machine, _leaf_slot(machine, vm.hgatp_root, gpa), pool_page)
+        violations = check_postconditions(machine)
+        assert any(v.startswith("H1") for v in violations)
