@@ -2,8 +2,10 @@
 
 Commands:
 
-- ``experiments [--full] [--only E1,E4,...]`` — regenerate the paper's
-  tables/figures (the same runners the benchmark suite uses);
+- ``experiments [--full] [--only E1,E4,...]`` — run the experiment
+  registry (:mod:`repro.bench.experiments`): print each paper
+  table/figure and ablation, check its paper bounds, exit 1 naming every
+  failing entry;
 - ``demo`` — the quickstart flow with a stats report;
 - ``attack`` — run the hypervisor attack battery and report outcomes;
 - ``stats`` — launch a CVM, run a mixed workload, print the full
@@ -46,57 +48,42 @@ import sys
 
 
 def _cmd_experiments(args) -> int:
-    from repro.bench import paper_data
-    from repro.bench.macro import (
-        run_coremark_experiment,
-        run_iozone_experiment,
-        run_redis_experiment,
-        run_rv8_experiment,
-    )
-    from repro.bench.microbench import (
-        run_page_fault_experiment,
-        run_switch_path_experiment,
-        run_vcpu_switch_experiment,
-    )
+    import os
+    import traceback
 
-    full = args.full
-    selected = set(args.only.upper().split(",")) if args.only else None
+    from repro.bench.experiments import EXPERIMENTS
 
-    def want(tag):
-        return selected is None or tag in selected
-
-    if want("E1"):
-        r = run_vcpu_switch_experiment(iterations=200 if full else 50)
-        print("E1 shared vCPU: entry {:.0f}->{:.0f} (-{:.1f}%), exit {:.0f}->{:.0f} (-{:.1f}%)".format(
-            r["entry_without_shared"], r["entry_with_shared"], r["entry_improvement_pct"],
-            r["exit_without_shared"], r["exit_with_shared"], r["exit_improvement_pct"]))
-    if want("E2"):
-        r = run_switch_path_experiment(iterations=200 if full else 50)
-        print("E2 switch path: entry long {:.0f} short {:.0f} (-{:.1f}%), exit long {:.0f} short {:.0f} (-{:.1f}%)".format(
-            r["entry_long_path"], r["entry_short_path"], r["entry_improvement_pct"],
-            r["exit_long_path"], r["exit_short_path"], r["exit_improvement_pct"]))
-    if want("E3"):
-        r = run_page_fault_experiment(pages=2048 if full else 512)
-        print("E3 faults: KVM {:.0f}, CVM s1 {:.0f} s2 {:.0f} s3 {:.0f} avg {:.0f}".format(
-            r["normal_vm"], r["cvm_stage1"], r["cvm_stage2"], r["cvm_stage3"], r["cvm_average"]))
-    if want("E4"):
-        r = run_rv8_experiment(scale=0.1 if full else 0.01)
-        for name, row in r["benchmarks"].items():
-            print(f"E4 {name}: {row['overhead_pct']:+.2f}% (paper {row['paper_overhead_pct']:+.2f}%)")
-        print(f"E4 average: {r['average_overhead_pct']:+.2f}% (paper {paper_data.RV8_AVERAGE_OVERHEAD_PCT:+.2f}%)")
-    if want("E5"):
-        r = run_coremark_experiment(iterations=10_000 if full else 1_500)
-        print(f"E5 CoreMark: {r['normal_score']:.1f} -> {r['cvm_score']:.1f} ({r['overhead_pct']:.2f}% drop)")
-    if want("E6"):
-        r = run_redis_experiment(requests=2_000 if full else 300)
-        print(f"E6 Redis: throughput {r['avg_throughput_drop_pct']:+.2f}% "
-              f"latency {r['avg_latency_increase_pct']:+.2f}%")
-    if want("E7"):
-        r = run_iozone_experiment(size_scale=1 if full else 4)
-        worst = max(r["cells"], key=lambda c: c["read_overhead_pct"])
-        print(f"E7 IOZone: worst overhead {worst['read_overhead_pct']:+.2f}% read "
-              f"at {worst['file_bytes'] >> 20} MB / {worst['record_bytes'] >> 10} KB records")
-    return 0
+    if not __debug__:
+        print("experiments: the paper checks are asserts; run without -O")
+        return 2
+    selected = EXPERIMENTS
+    if args.only:
+        names = [name.strip() for name in args.only.split(",")]
+        known = {entry.name.lower() for entry in EXPERIMENTS}
+        unknown = [name for name in names if name.lower() not in known]
+        if unknown:
+            print(f"unknown experiments: {', '.join(unknown)}")
+            return 2
+        wanted = {name.lower() for name in names}
+        selected = [e for e in EXPERIMENTS if e.name.lower() in wanted]
+    failed = []
+    for entry in selected:
+        try:
+            result = entry.run(**entry.kwargs(args.full))
+            print("\n" + entry.report(result), flush=True)
+            entry.check(result, args.full)
+        except Exception as failure:  # report every failing entry, then exit 1
+            if not isinstance(failure, AssertionError):
+                traceback.print_exc(file=sys.stdout)
+            where = traceback.extract_tb(failure.__traceback__)[-1]
+            detail = f": {failure}" if str(failure) else ""
+            print(f"FAIL {entry.name} at {os.path.basename(where.filename)}:"
+                  f"{where.lineno}: {where.line} "
+                  f"({type(failure).__name__}{detail})")
+            failed.append(entry.name)
+    print(f"\nexperiments: {len(selected)} run, {len(failed)} failing"
+          + (f" ({', '.join(failed)})" if failed else ""))
+    return 1 if failed else 0
 
 
 def _cmd_demo(args) -> int:
@@ -472,7 +459,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     experiments = sub.add_parser("experiments", help="regenerate paper results")
     experiments.add_argument("--full", action="store_true", help="paper-scale loads")
-    experiments.add_argument("--only", help="comma-separated subset, e.g. E1,E4")
+    experiments.add_argument("--only", help="comma-separated subset of registry "
+                             "names, e.g. E1,E4,block_size")
     experiments.set_defaults(func=_cmd_experiments)
     demo = sub.add_parser("demo", help="quickstart demo with stats")
     demo.set_defaults(func=_cmd_demo)

@@ -1,10 +1,12 @@
-"""Experiment harness: runners and paper-reference data for E1-E8.
+"""Experiment harness: runners and paper-reference data for E1-E9.
 
 Each experiment in DESIGN.md's per-experiment index has a runner here
 returning structured results, plus the paper's reported numbers
-(:mod:`repro.bench.paper_data`) so every benchmark can print a
-measured-vs-paper comparison.  The ``benchmarks/`` directory wraps these
-in pytest-benchmark targets, one per table/figure.
+(:mod:`repro.bench.paper_data`).  The registry in
+:mod:`repro.bench.experiments` gives each runner its quick/full sizes, a
+measured-vs-paper report and a paper-bound check; ``python -m repro
+experiments`` runs it.  That module is not imported here, so importing
+:mod:`repro.bench.paper_data` does not load the ablation runners.
 """
 
 from repro.bench import paper_data

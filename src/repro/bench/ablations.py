@@ -11,6 +11,11 @@ corresponding mechanism buys:
   first-touch I/O setup into extra world switches;
 - **TLB-flush policy**: the world-switch ``hfence`` is the dominant term
   of CPU-bound overhead; this quantifies its contribution.
+
+Three sweeps sit beside them: redis ``-P`` pipelining depth, concurrent
+CVM count against the PMP budget (the CURE/VirTEE contrast), and
+migration cost against guest memory footprint.  The experiment registry
+(:mod:`repro.bench.experiments`) renders and checks all of them.
 """
 
 from __future__ import annotations
@@ -20,8 +25,11 @@ import statistics
 
 from repro import Machine, MachineConfig
 from repro.cycles import DEFAULT_COSTS
+from repro.mem.physmem import PAGE_SIZE
 from repro.sm.alloc import AllocStage
+from repro.sm.migration import derive_migration_key
 from repro.workloads.memstress import sequential_write_stress
+from repro.workloads.redis import redis_benchmark
 
 
 def run_block_size_ablation(block_sizes=(64 << 10, 256 << 10, 1 << 20), pages: int = 512) -> dict:
@@ -120,4 +128,96 @@ def run_tlb_flush_ablation(compute_cycles: int = 20_000_000) -> dict:
             result = machine.run(session, cpu_bound_workload(profile, compute_cycles))
             cycles[kind] = result["workload_result"]["cycles"]
         rows[label] = 100.0 * (cycles["cvm"] - cycles["normal"]) / cycles["normal"]
+    return rows
+
+
+def run_redis_pipelining(depths=(1, 4, 16)) -> dict:
+    """redis-benchmark -P sweep: exit amortisation shrinks the overhead."""
+    rows = {}
+    for depth in depths:
+        samples = {}
+        for kind in ("normal", "cvm"):
+            machine = Machine(MachineConfig())
+            if kind == "cvm":
+                session = machine.launch_confidential_vm(image=b"p" * 400)
+            else:
+                session = machine.launch_normal_vm()
+            machine.attach_virtio_net(session)
+            samples[kind] = redis_benchmark(
+                machine, session, "GET", requests=300, pipeline=depth
+            )
+        rows[depth] = {
+            "normal_rps": samples["normal"]["throughput_rps"],
+            "cvm_rps": samples["cvm"]["throughput_rps"],
+            "drop_pct": 100.0
+            * (1 - samples["cvm"]["throughput_rps"] / samples["normal"]["throughput_rps"]),
+        }
+    return rows
+
+
+def run_scalability(tenant_counts=(1, 4, 13, 32)) -> dict:
+    """PMP entries, launch cost and interleaved run cost per CVM count.
+
+    ZION's CVM count is bounded by memory, not by PMP entries: CURE and
+    VirTEE top out at 13 VM enclaves on dedicated hardware resources.
+    """
+    rows = {}
+    for count in tenant_counts:
+        machine = Machine(MachineConfig(initial_pool_bytes=96 << 20))
+        with machine.ledger.span() as launch_span:
+            sessions = [
+                machine.launch_confidential_vm(
+                    image=b"tenant" * 64, shared_window=256 << 10
+                )
+                for _ in range(count)
+            ]
+
+        def make_workload(session):
+            def workload(ctx):
+                for _ in range(3):
+                    ctx.compute(20_000)
+                    yield
+                return True
+
+            return workload
+
+        results = machine.run_concurrent(
+            [(s, make_workload(s)) for s in sessions]
+        )
+        assert all(results[s] for s in sessions)
+        rows[count] = {
+            "pmp_entries": machine.pmp_controller.pmp_entries_used,
+            "launch_cycles_per_cvm": launch_span.cycles / count,
+            "run_cycles": results["cycles"],
+            "pool_regions": len(machine.monitor.pool.regions),
+        }
+    return rows
+
+
+def run_migration_cost(footprints=(256 << 10, 1 << 20, 4 << 20)) -> dict:
+    """Export + import cycles ("downtime") and blob size per footprint.
+
+    Migration is stop-and-copy (DESIGN.md section 7), so its cost should
+    grow with the guest's resident memory and the sealed blob should be
+    that memory plus O(KB) of metadata.
+    """
+    key = derive_migration_key(b"fleet", b"bench-src", b"bench-dst")
+    rows = {}
+    for footprint in footprints:
+        source = Machine(MachineConfig())
+        session = source.launch_confidential_vm(image=b"mig" * 300)
+        source.run(session, sequential_write_stress(footprint // PAGE_SIZE))
+        with source.ledger.span() as export_span:
+            blob = source.export_confidential_vm(session, key)
+        destination = Machine(MachineConfig())
+        with destination.ledger.span() as import_span:
+            migrated = destination.import_confidential_vm(blob, key)
+        # The migrated guest must be immediately runnable.
+        destination.run(migrated, lambda ctx: ctx.compute(1000))
+        rows[footprint] = {
+            "blob_bytes": len(blob),
+            "export_cycles": export_span.cycles,
+            "import_cycles": import_span.cycles,
+            "downtime_ms": (export_span.cycles + import_span.cycles) / 100_000,
+        }
     return rows

@@ -1,8 +1,9 @@
 """Table/figure formatting for the experiment harness.
 
-Each benchmark prints the same rows/series the paper reports, side by
-side with the paper's values, so EXPERIMENTS.md can be regenerated from
-bench output.
+Each registry entry's report (:mod:`repro.bench.experiments`) prints the
+same rows/series the paper reports, side by side with the paper's
+values, so EXPERIMENTS.md can be regenerated from ``python -m repro
+experiments`` output.
 """
 
 from __future__ import annotations

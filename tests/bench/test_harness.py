@@ -1,8 +1,10 @@
-"""The experiment harness itself: formatting, paper data, runner contracts."""
+"""The experiment harness itself: formatting, paper data, runner contracts,
+and the registry's paper checks (run on paper numbers, no simulation)."""
 
 import pytest
 
 from repro.bench import paper_data
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.tables import format_comparison_table, human_bytes, ratio
 
 
@@ -84,3 +86,47 @@ class TestRunnerContracts:
         result = run_rv8_experiment(scale=0.001, benchmarks=["qsort"])
         assert set(result["benchmarks"]) == {"qsort"}
         assert "average_overhead_pct" in result
+
+
+def _paper_result(name: str) -> dict:
+    """A registry result built from the paper's own numbers."""
+    return dict({
+        "E1": paper_data.VCPU_SWITCH,
+        "E2": paper_data.SWITCH_PATH,
+        "E3": paper_data.PAGE_FAULT,
+        "E5": paper_data.COREMARK,
+    }[name])
+
+
+class TestRegistry:
+    ENTRIES = {entry.name: entry for entry in EXPERIMENTS}
+
+    def test_names_unique(self):
+        names = [entry.name for entry in EXPERIMENTS]
+        assert len(names) == len(set(names))
+        assert len({name.lower() for name in names}) == len(names)
+
+    @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E5"])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_paper_numbers_pass_check(self, name, full):
+        self.ENTRIES[name].check(_paper_result(name), full)
+
+    @pytest.mark.parametrize("name, key, value", [
+        # the optimization stops paying
+        ("E1", "entry_with_shared", paper_data.VCPU_SWITCH["entry_without_shared"] + 1),
+        # an absolute count leaves the 15% band
+        ("E1", "exit_without_shared", paper_data.VCPU_SWITCH["exit_without_shared"] * 1.2),
+        ("E2", "exit_short_path", paper_data.SWITCH_PATH["exit_long_path"] + 1),
+        ("E2", "entry_improvement_pct", paper_data.SWITCH_PATH["entry_improvement_pct"] + 7),
+        # stage 3 stops being the slow path
+        ("E3", "cvm_stage3", paper_data.PAGE_FAULT["normal_vm"] - 1),
+        # the average drifts away from stage 1
+        ("E3", "cvm_average", paper_data.PAGE_FAULT["cvm_stage1"] * 1.06),
+        ("E5", "overhead_pct", paper_data.COREMARK["overhead_pct"] + 0.6),
+        ("E5", "cvm_score", paper_data.COREMARK["cvm_score"] * 0.94),
+    ])
+    def test_value_past_its_bound_fails_check(self, name, key, value):
+        result = _paper_result(name)
+        result[key] = value
+        with pytest.raises(AssertionError):
+            self.ENTRIES[name].check(result, False)

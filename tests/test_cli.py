@@ -32,6 +32,39 @@ def test_experiments_subset(capsys):
     assert "E3" not in out
 
 
+def test_experiments_only_is_case_insensitive(capsys):
+    assert main(["experiments", "--only", "e1"]) == 0
+    assert "E1 shared vCPU" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("only", ["E99", "E1,E99", "bogus"])
+def test_experiments_unknown_name_rejected(capsys, only):
+    assert main(["experiments", "--only", only]) == 2
+    out = capsys.readouterr().out
+    assert "unknown experiments:" in out
+    assert "E1 shared vCPU" not in out  # nothing ran
+
+
+def test_experiments_failing_check_exits_1(capsys, monkeypatch):
+    import dataclasses
+
+    from repro.bench import experiments, paper_data
+
+    # E1's paper numbers with the optimization made to cost cycles.
+    doctored = dict(paper_data.VCPU_SWITCH, entry_with_shared=6_000)
+    registry = tuple(
+        dataclasses.replace(e, run=lambda **_: doctored) if e.name == "E1" else e
+        for e in experiments.EXPERIMENTS
+    )
+    monkeypatch.setattr(experiments, "EXPERIMENTS", registry)
+    assert main(["experiments", "--only", "E1,E2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL E1" in out
+    assert 'result["entry_with_shared"] < result["entry_without_shared"]' in out
+    assert "E2 switch path" in out  # the failure did not stop the run
+    assert "1 failing (E1)" in out
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
