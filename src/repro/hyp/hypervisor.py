@@ -66,13 +66,6 @@ class Hypervisor:
         self.cvm_handles: dict[int, CvmHostHandle] = {}
         self.pool_expansions = 0
         self.mmio_exits = 0
-        #: Monotonic epoch bumped on every hypervisor-side stage-2 table
-        #: mutation (normal-VM demand maps and shared-subtree edits).  The
-        #: access trace cache pairs it with the SM split manager's epoch;
-        #: see share.py.  Shared-window extensions (``on_share_request``,
-        #: ``_fix_shared_fault``) edit tables without any fence, so flush
-        #: statistics alone cannot prove a recorded trace still valid.
-        self.map_generation = 0
         #: Platform interrupt controller; installed by the machine.
         self.plic = None
         #: PLIC source -> device bindings (set by the machine's wiring).
@@ -159,7 +152,6 @@ class Hypervisor:
             flags,
             alloc_table=lambda: self._alloc_table_page(hart),
         )
-        self.map_generation += 1
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_pte_install)
         self.translator.sfence_page(vm.vmid, page_gpa)
         vm.fault_count += 1
@@ -270,7 +262,6 @@ class Hypervisor:
         leaf_table = (pte >> 10) << 12
         leaf_index = (gpa >> 12) & 0x1FF
         accessor.write_u64(leaf_table + 8 * leaf_index, (pa >> 12) << 10 | flags | 1)
-        self.map_generation += 1
         self.ledger.charge(Category.PAGE_WALK, 2 * self.costs.page_walk_level)
 
     def shared_gpa_to_hpa(self, handle: CvmHostHandle, gpa: int) -> int:

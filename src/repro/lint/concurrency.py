@@ -2,9 +2,9 @@
 
 ROADMAP item 2 (multi-hart SMP) will run SM and hypervisor code on
 several simulated harts at once.  The state that must then be protected
-is exactly the state that is *shared across objects today*: stage-2 map
-generations, the shared-subtree registry, channel registries, scheduler
-queues, allocator block lists.  This rule family is the groundwork that
+is exactly the state that is *shared across objects today*: the
+shared-subtree registry, channel registries, scheduler queues, allocator
+block lists.  This rule family is the groundwork that
 refactor will be held to -- it freezes the single-writer discipline
 while the codebase is still single-threaded, so the SMP change cannot
 quietly scatter writers.
@@ -14,11 +14,11 @@ Two sub-rules:
 **Seam discipline.**  Mutating a :data:`GUARDED_ATTRS` attribute on a
 *foreign* receiver (anything that is not ``self``/``cls``) is only
 allowed inside that attribute's designated seam functions
-(:data:`SEAMS`).  ``self.map_generation += 1`` is the owner maintaining
-its own invariant and always fine; ``split.map_generation += 1`` from
-the monitor's fault path is a cross-object write that every future lock
-scheme would have to know about, so it must go through a seam method on
-the owner.  ``global`` rebinding in SM/hypervisor code is flagged
+(:data:`SEAMS`).  ``self.channels[cid] = ch`` is the owner maintaining
+its own invariant and always fine; ``manager.channels[cid] = ch`` from
+another object is a cross-object write that every future lock scheme
+would have to know about, so it must go through a seam method on the
+owner.  ``global`` rebinding in SM/hypervisor code is flagged
 unconditionally -- module-level mutable state has no owner to lock.
 
 **Determinism.**  Simulated paths (``sm/``, ``hyp/``, ``mem/``,
@@ -42,10 +42,6 @@ RULE = "ZL5"
 #: the seam functions allowed to mutate it on a foreign receiver:
 #: attr -> set of (module-path suffix, function qualname).
 GUARDED_ATTRS: dict[str, set[tuple[str, str]]] = {
-    # stage-2 map epoch (split-table manager, hypervisor, trace cache)
-    "map_generation": set(),
-    # TLB/trace-cache generation counters
-    "generation": set(),
     # per-CVM donated-subtree registry: installed by the SM's link seam,
     # mirrored by the hypervisor's provisioning seam
     "shared_subtrees": {

@@ -39,7 +39,6 @@ from repro.isa.traps import (
 from repro.mem.frames import FrameAllocator
 from repro.mem.physmem import PAGE_SIZE, MemoryBus, PhysicalMemory
 from repro.mem.tlb import Tlb
-from repro.mem.tracecache import SeqTrace, TraceCache
 from repro.mem.translation import AddressTranslator
 from repro.sm.cvm import CvmState, GpaLayout
 from repro.sm.monitor import SecureMonitor
@@ -52,13 +51,7 @@ _MMIO_GPR_INDEX = 10
 #: inter-CVM channel doorbell targets its CVM (see :meth:`Machine.run_concurrent`).
 WAIT_DOORBELL = object()
 
-#: Returned by :meth:`Machine._replay_seq` when a recorded trace failed its
-#: structural validity check and the sequence must re-execute live.
-_REPLAY_REJECT = object()
-
-#: The ``walk`` :meth:`Machine._access_one` reports for an access that took
-#: a stage-2 fault before completing (the trace recorder stops on it).
-_FAULTED = object()
+_MASK64 = (1 << 64) - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,10 +75,6 @@ class MachineConfig:
     secure_block_size: int | None = None
     #: Ablation switch: stage-1 per-vCPU page caches (paper IV-D).
     use_page_cache: bool = True
-    #: Wall-clock switch: record/replay hot guest-access sequences
-    #: (:mod:`repro.mem.tracecache`).  Cycle-exact either way; exposed so
-    #: the equivalence tests can diff cached against uncached runs.
-    trace_cache: bool = True
     costs: CycleCosts = DEFAULT_COSTS
 
 
@@ -195,16 +184,8 @@ class Machine:
         self.ecall_interface = EcallInterface(
             self.monitor, running_cvm_of=self._running_cvm_of
         )
-        # Batched guest-access engine state.  The engine fuses same-category
-        # charges (n TLB hits as one charge of n*tlb_hit), which is only
-        # bit-identical to per-access charging when the per-access costs are
-        # integral (charge() floors); non-integral cost ablations fall back
-        # to the per-access loops wholesale.
-        costs_integral = (
-            self.costs.tlb_hit == int(self.costs.tlb_hit)
-            and self.costs.page_walk_level == int(self.costs.page_walk_level)
-        )
-        self._trace_cache = TraceCache() if cfg.trace_cache and costs_integral else None
+        # Engine step state: the per-access compute charge, and the walk
+        # cost per PTE read floored as the walker's own charger floors it.
         self._charge_seq_compute = self.ledger.charger(Category.COMPUTE, 1)
         self._walk_cost = int(self.costs.page_walk_level)
 
@@ -572,55 +553,71 @@ class Machine:
 
     def run_seq(self, session: GuestSession, op: str, gva0: int, step: int,
                 count: int, size: int, values, gvas):
-        """Execute one access sequence: replay its trace, or run + record.
+        """Execute one access sequence; returns the loaded values for ``"L"``.
 
         ``op`` is ``"L"``/``"S"``/``"T"`` (load_seq / store_seq /
         touch_seq).  Strided sequences address ``gva0 + i*step``; touch
-        sequences carry their literal ``gvas`` tuple.  Cycle-exact against
-        the per-access loops by construction (see
-        :mod:`repro.mem.tracecache` for the validity argument).
+        sequences carry their literal ``gvas``.  Each access goes through
+        :meth:`_access_one`; one it declines takes :meth:`guest_access`
+        instead, so every access performs exactly what the per-element
+        loop would.
         """
-        if count <= 0:
-            return [] if op == "L" else None
-        key = (
-            op,
-            session.vmid,
-            session.hgatp_root,
-            gvas if gvas is not None else (gva0, step, count),
-            size,
-        )
-        trace = self._trace_cache.get(key)
-        if trace is not None and trace.token == (
-            self.monitor.split.map_generation,
-            self.hypervisor.map_generation,
-        ):
-            result = self._replay_seq(session, op, trace, gva0, step, count,
-                                      size, values, gvas)
-            if result is not _REPLAY_REJECT:
-                return result
-        return self._engine_seq(session, op, gva0, step, count, size,
-                                values, gvas, key)
+        access_one = self._access_one
+        charge_compute = self._charge_seq_compute
+        dram = self.dram
+        access = AccessType.STORE if op == "S" else AccessType.LOAD
+        small = min(size, 8)
+        small_mask = (1 << (8 * small)) - 1
+        aligned8 = size == 8
+        out = [] if op == "L" else None
+        for i in range(count):
+            gva = gvas[i] if gvas is not None else gva0 + i * step
+            pa = access_one(session, gva, access)
+            if pa is None:
+                if op == "S":
+                    self._pending_store_value = values[i] & _MASK64
+                pa, kind = self.guest_access(session, gva, access, size)
+                if kind == "mmio":
+                    charge_compute()
+                    if op == "L":
+                        out.append(pa)
+                    continue
+            charge_compute()
+            if op == "L":
+                if aligned8 and not pa & 7:
+                    out.append(dram.read_u64(pa))
+                else:
+                    out.append(int.from_bytes(dram.read(pa, small), "little"))
+            elif op == "S":
+                value = values[i]
+                if aligned8 and not pa & 7:
+                    dram.write_u64(pa, value)
+                else:
+                    dram.write(pa, (value & small_mask).to_bytes(small, "little"))
+        if op == "S" and count > 0:
+            # Residual-state parity: the per-access loop leaves the last
+            # store value latched for MMIO emulation.
+            self._pending_store_value = values[count - 1] & _MASK64
+        return out
 
     def _access_one(self, session: GuestSession, gva: int, access: AccessType):
-        """The engine's per-access step: ``(pa, entry, walk)`` or ``None``.
+        """The engine's per-access step: the access's PA, or ``None``.
 
         Performs what :meth:`guest_access` performs for an ordinary
         memory access -- timer check, TLB probe, stage-2 walk on a miss,
         and, when the walk faults into M mode, the SM's fault fix and a
         retry -- with identical charges, statistics and LRU motion.
-        ``entry`` is the TLB entry the access used; ``walk`` tells the
-        trace recorder how it got there: ``None`` for a TLB hit, the
-        charged walk cycles for a fill, :data:`_FAULTED` when the access
-        faulted first.
 
         Returns ``None`` *before* charging or mutating anything (a due
         timer tick aside, which :meth:`guest_access` fires first as well)
-        whenever the access needs the generic machinery: an address
-        outside guest DRAM (MMIO, the shared region), an entry or leaf
-        lacking the access's permission, or a fault the SM does not
-        handle.  The caller then falls back to :meth:`guest_access` with
-        nothing to undo.
+        whenever the access needs the generic machinery: a guest with
+        stage-1 paging on, an address outside guest DRAM (MMIO, the
+        shared region), an entry or leaf lacking the access's permission,
+        or a fault the SM does not handle.  The caller then falls back to
+        :meth:`guest_access` with nothing to undo.
         """
+        if session.vsatp_root is not None:
+            return None
         hart = session.hart
         if self.ledger._total >= self.clint._mtimecmp[hart.hart_id]:
             self.check_timer(session)
@@ -637,10 +634,10 @@ class Machine:
             tlb.hits += 1
             tlb._entries.move_to_end(key)
             self.translator._charge_tlb_hit()
-            return entry[0] << 12 | gva & 0xFFF, entry, None
+            return entry[0] << 12 | gva & 0xFFF
         if not gva < self.translator.sv39x4._va_limit:
             return None
-        walk = None
+        faulted = False
         for _attempt in range(8):
             pa, flags, levels, leaf_slot = self.translator.probe_gpa(
                 session.hgatp_root, gva
@@ -649,22 +646,20 @@ class Machine:
                 if not flags & required:
                     return None
                 tlb.misses += 1
-                cycles = levels * self._walk_cost
-                self.ledger.charge(Category.PAGE_WALK, cycles)
+                self.ledger.charge(Category.PAGE_WALK, levels * self._walk_cost)
                 self.bus._cpu_check(hart, pa, 1, access)
-                entry = (pa >> 12, flags)
-                tlb.insert(key[0], key[1], entry[0], flags)
-                return pa, entry, walk if walk is _FAULTED else cycles
+                tlb.insert(key[0], key[1], pa >> 12, flags)
+                return pa
             # A stage-2 guest-page fault.  Only private DRAM of a CVM
             # whose delegation routes the fault to M mode is the SM's.
-            if walk is None and (
+            if not faulted and (
                 session.kind is not VmKind.CONFIDENTIAL
                 or route_exception(
                     guest_page_fault_for(access), hart.mode, hart.medeleg, hart.hedeleg
                 ) is not PrivilegeMode.M
             ):
                 return None
-            walk = _FAULTED
+            faulted = True
             tlb.misses += 1
             self.ledger.charge(Category.PAGE_WALK, levels * self._walk_cost)
             # The fix maps the page read/write/execute and sfences it, so
@@ -674,254 +669,6 @@ class Machine:
         raise ConfigurationError(
             f"guest access at {gva:#x} did not make progress after 8 faults"
         )
-
-    def _engine_seq(self, session: GuestSession, op: str, gva0: int, step: int,
-                    count: int, size: int, values, gvas, key,
-                    start: int = 0, out=None):
-        """The live sequence engine: step each access, move data, record.
-
-        Each access goes through :meth:`_access_one`; one it declines
-        takes the generic :meth:`guest_access` instead, so every access
-        performs exactly what the per-element loop would.  A clean
-        pure-flavor run starting at ``start == 0`` (all TLB hits, or all
-        fills of distinct pages, and no fault or fallback) is recorded
-        under ``key`` for future replay.
-        """
-        access_one = self._access_one
-        guest_access = self.guest_access
-        charge_compute = self._charge_seq_compute
-        dram = self.dram
-        read_u64 = dram.read_u64
-        dread = dram.read
-        write_u64 = dram.write_u64
-        dwrite = dram.write
-        vmid = session.vmid
-        access = AccessType.STORE if op == "S" else AccessType.LOAD
-        mask64 = (1 << 64) - 1
-        small = min(size, 8)
-        small_mask = (1 << (8 * small)) - 1
-        aligned8 = size == 8
-
-        if out is None and op == "L":
-            out = []
-        append = out.append if op == "L" else None
-
-        recording = key is not None and start == 0
-        rec_keys: list = []
-        rec_pas: list = []
-        rec_entries: list = []
-        rec_walks: list = []
-        any_hit = any_miss = False
-
-        for i in range(start, count):
-            gva = gvas[i] if gvas is not None else gva0 + i * step
-            stepped = access_one(session, gva, access)
-            if stepped is not None:
-                pa, entry, walk = stepped
-                if recording:
-                    if walk is None:
-                        if any_miss:
-                            recording = False
-                        else:
-                            any_hit = True
-                            rec_keys.append((vmid, gva >> 12))
-                            rec_pas.append(pa)
-                            rec_entries.append(entry)
-                    elif walk is _FAULTED or any_hit:
-                        recording = False
-                    else:
-                        any_miss = True
-                        rec_keys.append((vmid, gva >> 12))
-                        rec_pas.append(pa)
-                        rec_entries.append(entry)
-                        rec_walks.append(walk)
-            else:
-                recording = False
-                if op == "S":
-                    self._pending_store_value = values[i] & mask64
-                pa, kind = guest_access(session, gva, access, size)
-                if kind == "mmio":
-                    charge_compute()
-                    if op == "L":
-                        append(pa)
-                    continue
-            charge_compute()
-            if op == "L":
-                if aligned8 and not pa & 7:
-                    append(read_u64(pa))
-                else:
-                    append(int.from_bytes(dread(pa, small), "little"))
-            elif op == "S":
-                value = values[i]
-                if aligned8 and not pa & 7:
-                    write_u64(pa, value)
-                else:
-                    dwrite(pa, (value & small_mask).to_bytes(small, "little"))
-
-        if op == "S":
-            # Residual-state parity: the per-access loop leaves the last
-            # store value latched for MMIO emulation.
-            self._pending_store_value = values[count - 1] & mask64
-
-        if recording:
-            token = (self.monitor.split.map_generation, self.hypervisor.map_generation)
-            if any_miss and not any_hit and len(set(rec_keys)) == count:
-                self._trace_cache.put(key, SeqTrace(
-                    "miss", token, None, rec_keys, rec_pas, rec_entries,
-                    rec_walks, None,
-                ))
-            elif any_hit and not any_miss:
-                expected: dict = {}
-                consistent = True
-                for k, e in zip(rec_keys, rec_entries):
-                    prev = expected.get(k)
-                    if prev is None:
-                        expected[k] = e
-                    elif prev != e:
-                        consistent = False
-                        break
-                if consistent:
-                    self._trace_cache.put(key, SeqTrace(
-                        "hit", token, self.translator.tlb.generation, rec_keys, rec_pas,
-                        None, None, expected,
-                    ))
-        return out
-
-    def _replay_seq(self, session: GuestSession, op: str, trace, gva0: int,
-                    step: int, count: int, size: int, values, gvas):
-        """Replay a validated trace; ``_REPLAY_REJECT`` if validation fails.
-
-        The caller has already checked the map token.  Here the TLB-side
-        proof runs, then the replay performs the identical state updates
-        and charges the live engine would.  All-hit replays fuse each
-        timer-window's worth of accesses into one pair of charges; the
-        chunk boundary is computed so the timer fires at exactly the
-        access where the per-access loop would have fired it.
-        """
-        tlb = self.translator.tlb
-        entries = tlb._entries
-        keys = trace.keys
-        if trace.flavor == "hit":
-            if tlb.generation != trace.tlb_gen:
-                entries_get = entries.get
-                for k, e in trace.expected.items():
-                    if entries_get(k) != e:
-                        return _REPLAY_REJECT
-                trace.tlb_gen = tlb.generation
-        else:
-            for k in keys:
-                if k in entries:
-                    return _REPLAY_REJECT
-
-        ledger = self.ledger
-        hart_id = session.hart.hart_id
-        mtimecmp = self.clint._mtimecmp
-        check_timer = self.check_timer
-        dram = self.dram
-        read_u64 = dram.read_u64
-        dread = dram.read
-        write_u64 = dram.write_u64
-        dwrite = dram.write
-        mask64 = (1 << 64) - 1
-        small = min(size, 8)
-        small_mask = (1 << (8 * small)) - 1
-        aligned8 = size == 8
-        pas = trace.pas
-        out = [] if op == "L" else None
-
-        if trace.flavor == "miss":
-            # Per-access replay: the PMP check can legitimately raise, so
-            # charges must land access-by-access exactly as recorded.
-            charge = ledger.charge
-            hart = session.hart
-            cpu_check = self.bus._cpu_check
-            insert = tlb.insert
-            access = AccessType.STORE if op == "S" else AccessType.LOAD
-            charge_compute = self._charge_seq_compute
-            ents = trace.entries
-            walks = trace.walk_cycles
-            for i in range(count):
-                if ledger._total >= mtimecmp[hart_id]:
-                    check_timer(session)
-                tlb.misses += 1
-                charge(Category.PAGE_WALK, walks[i])
-                pa = pas[i]
-                cpu_check(hart, pa, 1, access)
-                k = keys[i]
-                e = ents[i]
-                insert(k[0], k[1], e[0], e[1])
-                charge_compute()
-                if op == "L":
-                    if aligned8 and not pa & 7:
-                        out.append(read_u64(pa))
-                    else:
-                        out.append(int.from_bytes(dread(pa, small), "little"))
-                elif op == "S":
-                    value = values[i]
-                    if aligned8 and not pa & 7:
-                        write_u64(pa, value)
-                    else:
-                        dwrite(pa, (value & small_mask).to_bytes(small, "little"))
-        else:
-            move_to_end = entries.move_to_end
-            tlb_hit = int(self.costs.tlb_hit)
-            per_access = tlb_hit + 1  # TLB hit + the compute charge
-            charge = ledger.charge
-            append = out.append if op == "L" else None
-            i = 0
-            while i < count:
-                total = ledger._total
-                cmp_ = mtimecmp[hart_id]
-                if total >= cmp_:
-                    generation = tlb.generation
-                    check_timer(session)
-                    if tlb.generation != generation:
-                        # The tick flushed translations: the rest of the
-                        # sequence misses, which this trace cannot speak
-                        # for -- hand the tail to the live engine.
-                        return self._engine_seq(
-                            session, op, gva0, step, count, size, values,
-                            gvas, None, start=i, out=out,
-                        )
-                    total = ledger._total
-                    cmp_ = mtimecmp[hart_id]
-                # Largest chunk whose accesses all run before the next
-                # tick: access j fires the timer iff the total *before* it
-                # reached mtimecmp, so n accesses are safe when
-                # total + (n-1)*per_access < cmp.
-                n = (cmp_ - total - 1) // per_access + 1
-                remaining = count - i
-                if n > remaining:
-                    n = remaining
-                end = i + n
-                if op == "L":
-                    for j in range(i, end):
-                        move_to_end(keys[j])
-                        pa = pas[j]
-                        if aligned8 and not pa & 7:
-                            append(read_u64(pa))
-                        else:
-                            append(int.from_bytes(dread(pa, small), "little"))
-                elif op == "S":
-                    for j in range(i, end):
-                        move_to_end(keys[j])
-                        pa = pas[j]
-                        value = values[j]
-                        if aligned8 and not pa & 7:
-                            write_u64(pa, value)
-                        else:
-                            dwrite(pa, (value & small_mask).to_bytes(small, "little"))
-                else:
-                    for j in range(i, end):
-                        move_to_end(keys[j])
-                tlb.hits += n
-                charge(Category.TLB, n * tlb_hit)
-                charge(Category.COMPUTE, n)
-                i = end
-
-        if op == "S":
-            self._pending_store_value = values[count - 1] & mask64
-        return out
 
     # ------------------------------------------------------------------
     # Trap dispatch
@@ -1135,14 +882,8 @@ class GuestContext:
     def load(self, gva: int, size: int = 8) -> int:
         """Guest load; returns the value (integers up to 8 bytes)."""
         machine = self.machine
-        stepped = (
-            machine._access_one(self.session, gva, AccessType.LOAD)
-            if machine._trace_cache is not None and self.session.vsatp_root is None
-            else None
-        )
-        if stepped is not None:
-            pa = stepped[0]
-        else:
+        pa = machine._access_one(self.session, gva, AccessType.LOAD)
+        if pa is None:
             pa, kind = machine.guest_access(self.session, gva, AccessType.LOAD, size)
             if kind == "mmio":
                 self._charge_access()
@@ -1155,15 +896,9 @@ class GuestContext:
     def store(self, gva: int, value: int, size: int = 8) -> None:
         """Guest store of an integer value."""
         machine = self.machine
-        machine._pending_store_value = value & (1 << 64) - 1
-        stepped = (
-            machine._access_one(self.session, gva, AccessType.STORE)
-            if machine._trace_cache is not None and self.session.vsatp_root is None
-            else None
-        )
-        if stepped is not None:
-            pa = stepped[0]
-        else:
+        machine._pending_store_value = value & _MASK64
+        pa = machine._access_one(self.session, gva, AccessType.STORE)
+        if pa is None:
             pa, kind = machine.guest_access(self.session, gva, AccessType.STORE, size)
             if kind == "mmio":
                 self._charge_access()
@@ -1183,27 +918,7 @@ class GuestContext:
         compute charge), so simulated cycles are bit-for-bit the same.
         """
         step = size if stride is None else stride
-        machine = self.machine
-        session = self.session
-        if machine._trace_cache is not None and session.vsatp_root is None:
-            return machine.run_seq(session, "L", gva, step, count, size, None, None)
-        guest_access = machine.guest_access
-        charge = self._charge_access
-        read_u64 = machine.dram.read_u64
-        read = machine.dram.read
-        out = []
-        append = out.append
-        for i in range(count):
-            addr = gva + i * step
-            value, kind = guest_access(session, addr, AccessType.LOAD, size)
-            charge()
-            if kind == "mmio":
-                append(value)
-            elif size == 8 and not value & 7:
-                append(read_u64(value))
-            else:
-                append(int.from_bytes(read(value, min(size, 8)), "little"))
-        return out
+        return self.machine.run_seq(self.session, "L", gva, step, count, size, None, None)
 
     def store_seq(self, gva: int, values, size: int = 8, stride: int | None = None) -> None:
         """Batched guest stores of ``values`` starting at ``gva``.
@@ -1213,47 +928,18 @@ class GuestContext:
         hoisted out of the loop, never a change to what is charged.
         """
         step = size if stride is None else stride
-        machine = self.machine
-        session = self.session
-        if machine._trace_cache is not None and session.vsatp_root is None:
-            if not isinstance(values, (list, tuple)):
-                values = list(values)
-            machine.run_seq(session, "S", gva, step, len(values), size, values, None)
-            return
-        guest_access = machine.guest_access
-        charge = self._charge_access
-        write_u64 = machine.dram.write_u64
-        write = machine.dram.write
-        mask64 = (1 << 64) - 1
-        small = min(size, 8)
-        small_mask = (1 << (8 * small)) - 1
-        for i, value in enumerate(values):
-            addr = gva + i * step
-            machine._pending_store_value = value & mask64
-            pa, kind = guest_access(session, addr, AccessType.STORE, size)
-            charge()
-            if kind == "mmio":
-                continue
-            if size == 8 and not pa & 7:
-                write_u64(pa, value)
-            else:
-                write(pa, (value & small_mask).to_bytes(small, "little"))
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        self.machine.run_seq(self.session, "S", gva, step, len(values), size, values, None)
 
     def write_bytes(self, gva: int, data: bytes) -> None:
         """Bulk guest write (page-wise translation, per-byte copy charge)."""
         machine = self.machine
-        fast = machine._trace_cache is not None and self.session.vsatp_root is None
         offset = 0
         while offset < len(data):
             chunk = min(len(data) - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            stepped = (
-                machine._access_one(self.session, gva + offset, AccessType.STORE)
-                if fast
-                else None
-            )
-            if stepped is not None:
-                pa = stepped[0]
-            else:
+            pa = machine._access_one(self.session, gva + offset, AccessType.STORE)
+            if pa is None:
                 pa, kind = machine.guest_access(
                     self.session, gva + offset, AccessType.STORE, chunk
                 )
@@ -1266,19 +952,12 @@ class GuestContext:
     def read_bytes(self, gva: int, length: int) -> bytes:
         """Bulk guest read."""
         machine = self.machine
-        fast = machine._trace_cache is not None and self.session.vsatp_root is None
         out = bytearray()
         offset = 0
         while offset < length:
             chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            stepped = (
-                machine._access_one(self.session, gva + offset, AccessType.LOAD)
-                if fast
-                else None
-            )
-            if stepped is not None:
-                pa = stepped[0]
-            else:
+            pa = machine._access_one(self.session, gva + offset, AccessType.LOAD)
+            if pa is None:
                 pa, kind = machine.guest_access(
                     self.session, gva + offset, AccessType.LOAD, chunk
                 )
@@ -1311,17 +990,8 @@ class GuestContext:
         cycle cost of a load is charged by the access path, not by the
         byte copy).  MMIO touches still perform the full device access.
         """
-        machine = self.machine
-        session = self.session
-        if machine._trace_cache is not None and session.vsatp_root is None:
-            gvas = tuple(gvas)
-            machine.run_seq(session, "T", 0, 0, len(gvas), 1, None, gvas)
-            return
-        guest_access = machine.guest_access
-        charge = self._charge_access
-        for gva in gvas:
-            guest_access(session, gva, AccessType.LOAD, 1)
-            charge()
+        gvas = tuple(gvas)
+        self.machine.run_seq(self.session, "T", 0, 0, len(gvas), 1, None, gvas)
 
     # -- virtio driver construction ---------------------------------------------
 

@@ -33,12 +33,6 @@ class Tlb:
         self.flushes = 0
         #: Single-page invalidations, counted separately from ``flushes``.
         self.page_flushes = 0
-        #: Monotonic invalidation epoch: bumped whenever entries may have
-        #: *disappeared* (any flush, or a capacity eviction).  The access
-        #: trace cache uses an unchanged generation as proof that every
-        #: entry it recorded as present is still present; insertions only
-        #: bump it when they evict.
-        self.generation = 0
 
     def lookup(self, vmid: int, vpage: int):
         """Cached (ppage, flags) or ``None``."""
@@ -63,7 +57,6 @@ class Tlb:
         index.add(key)
         while len(entries) > self.capacity:
             evicted, _ = entries.popitem(last=False)
-            self.generation += 1
             victim_index = self._by_vmid[evicted[0]]
             victim_index.discard(evicted)
             if not victim_index:
@@ -74,18 +67,15 @@ class Tlb:
         self._entries.clear()
         self._by_vmid.clear()
         self.flushes += 1
-        self.generation += 1
 
     def flush_vmid(self, vmid: int) -> None:
         """Drop all translations of one VMID (O(entries of that VMID))."""
         for key in self._by_vmid.pop(vmid, ()):
             del self._entries[key]
         self.flushes += 1
-        self.generation += 1
 
     def flush_page(self, vmid: int, vpage: int) -> None:
         """Drop one page's translation (counted even if absent)."""
-        self.generation += 1
         key = (vmid, vpage)
         if self._entries.pop(key, None) is not None:
             index = self._by_vmid[vmid]

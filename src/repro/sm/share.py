@@ -53,13 +53,6 @@ class SplitTableManager:
         self._charge_map_walk = ledger.charger(
             Category.PAGE_WALK, costs.page_walk_level * self._sv39x4.levels
         )
-        #: Monotonic epoch bumped on every SM-side stage-2 table mutation
-        #: (map/unmap/subtree link).  Together with the hypervisor's own
-        #: epoch it proves to the access trace cache that no mapping a
-        #: recorded trace depends on can have changed.  Flush counters are
-        #: NOT a substitute: subtree links and hypervisor shared-window
-        #: extensions mutate tables without a fence.
-        self.map_generation = 0
 
     def shared_root_index_base(self, cvm: ConfidentialVm) -> int:
         """First stage-2 root index belonging to the shared region."""
@@ -96,7 +89,6 @@ class SplitTableManager:
         slot = cvm.hgatp_root + 8 * root_index
         self._dram.write_u64(slot, (table_pa >> 12) << 10 | 1)  # non-leaf PTE
         cvm.shared_subtrees[root_index] = table_pa
-        self.map_generation += 1
 
     def _validate_subtree(self, table_pa: int, depth: int) -> None:
         """Reject any existing PTE in a donated subtree that reaches the pool.
@@ -175,7 +167,6 @@ class SplitTableManager:
             tables = self._sv39x4.map(
                 self._accessor, cvm.hgatp_root, gpa, pa, flags, alloc_table
             )
-        self.map_generation += 1
         for table in tables:
             if not self._pool.contains(table, PAGE_SIZE):
                 raise SecurityViolation(
@@ -215,7 +206,6 @@ class SplitTableManager:
         tables = self._sv39x4.map(
             self._accessor, cvm.hgatp_root, gpa, pa, flags, alloc_table
         )
-        self.map_generation += 1
         for table in tables:
             if not self._pool.contains(table, PAGE_SIZE):
                 raise SecurityViolation(
@@ -231,7 +221,6 @@ class SplitTableManager:
         the CVM owns privately.
         """
         pa = self._sv39x4.unmap(self._accessor, cvm.hgatp_root, gpa)
-        self.map_generation += 1
         owner = self._pool.owner_of(pa & ~(PAGE_SIZE - 1))
         self._charge_ownership()
         if owner != owner_token:
@@ -244,7 +233,6 @@ class SplitTableManager:
     def unmap_private(self, cvm: ConfidentialVm, gpa: int) -> int:
         """Remove a private mapping; returns the frame for scrubbing."""
         pa = self._sv39x4.unmap(self._accessor, cvm.hgatp_root, gpa)
-        self.map_generation += 1
         self._charge_map_walk()
         return pa
 

@@ -8,9 +8,11 @@ real two-stage walks (VS-stage over G-stage) for every access.
 
 import pytest
 
+from repro import Machine, MachineConfig
 from repro.errors import SecurityViolation
 from repro.guest.paging import GuestPageTableBuilder
 from repro.mem.physmem import PAGE_SIZE
+from tests.generic_path import force_generic_path
 
 
 @pytest.fixture
@@ -42,6 +44,57 @@ def test_identity_plus_high_mapping(paged_guest):
 
     result = machine.run(session, workload)
     assert result["workload_result"] == (0xD47A, 0xD47A)
+
+
+def test_sequences_through_high_mapping_match_generic_path():
+    """load_seq/store_seq/touch_seq with vsatp set take the generic path.
+
+    The engine step declines every access of a paging guest, so each
+    sequence must be bit-identical to a machine forced onto the generic
+    path -- and read back what it wrote through the kernel mapping and
+    through a low alias whose GVA is itself a (different) guest-DRAM GPA.
+    """
+    kva = 0x20_0000_0000  # within 39 bits
+    values = [0xC0DE_0000 + i for i in range(16)]
+
+    def workload(ctx):
+        dram = ctx.session.layout.dram_base
+        table_region = dram + (64 << 20)
+        data_gpa = dram + (32 << 20)
+        alias = data_gpa + (1 << 20)
+        builder = GuestPageTableBuilder(ctx, table_region_gpa=table_region)
+        ctx.touch_seq(data_gpa + page * PAGE_SIZE for page in range(2))  # rest fault under paging
+        for page in range(4):
+            builder.map(kva + page * PAGE_SIZE, data_gpa + page * PAGE_SIZE)
+            builder.map(alias + page * PAGE_SIZE, data_gpa + page * PAGE_SIZE)
+        for offset in range(0, 4 * PAGE_SIZE, PAGE_SIZE):
+            builder.map(table_region + offset, table_region + offset)
+        builder.enable()
+        ctx.store_seq(kva, values, size=8, stride=PAGE_SIZE // 4)
+        paged = ctx.load_seq(kva, 16, size=8, stride=PAGE_SIZE // 4)
+        ctx.touch_seq(kva + page * PAGE_SIZE for page in range(4))
+        aliased = ctx.load_seq(alias, 16, size=8, stride=PAGE_SIZE // 4)
+        builder.disable()
+        bare = ctx.load_seq(data_gpa, 16, size=8, stride=PAGE_SIZE // 4)
+        return paged, aliased, bare
+
+    outcomes = []
+    for generic in (False, True):
+        machine = Machine(MachineConfig())
+        if generic:
+            force_generic_path(machine)
+        session = machine.launch_confidential_vm(image=b"paging-guest" * 100)
+        result = machine.run(session, workload)["workload_result"]
+        tlb = machine.translator.tlb
+        outcomes.append((
+            result,
+            machine.ledger.total,
+            machine.ledger.by_category(),
+            (tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes, len(tlb)),
+            dict(machine.monitor.fault_stage_counts),
+        ))
+    assert outcomes[0][0] == (values, values, values)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_unmapped_gva_faults_to_guest_not_host(paged_guest):

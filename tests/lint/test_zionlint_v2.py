@@ -301,20 +301,20 @@ class TestZL5Concurrency:
     def test_foreign_guarded_mutation_flagged_self_ok(self, tmp_path):
         _write(
             tmp_path,
-            "sm/epoch.py",
+            "sm/registry.py",
             """
             class Monitor:
-                def kick(self, split):
-                    split.map_generation += 1
+                def kick(self, manager):
+                    manager.channels = {}
 
                 def own(self):
-                    self.map_generation += 1
+                    self.channels = {}
             """,
         )
         report = run_lint([tmp_path])
         hits = [f for f in report.new if f.rule == "ZL5"]
         assert [f.func for f in hits] == ["Monitor.kick"]
-        assert "map_generation" in hits[0].message
+        assert "channels" in hits[0].message
 
     def test_container_mutations_on_guarded_attrs_flagged(self, tmp_path):
         _write(

@@ -1,21 +1,25 @@
-"""Trace-cache equivalence: cached runs must be bit-identical to uncached.
+"""Engine equivalence: the engine step must be bit-identical to the generic path.
 
-The guest-access trace cache (``repro.mem.tracecache``) is a wall-clock
-optimisation with a hard contract: with ``trace_cache`` on, every ledger
-total, per-category count, TLB statistic, and byte of guest memory must
-match a machine running the per-access loops.  These tests run the same
-workload on a cached and an uncached machine and diff the full
-architectural fingerprint, across strides, sizes, page-crossing shapes,
-first-touch fault storms, timer ticks landing mid-sequence, and
-invalidation by flush and remap.
+Every guest access runs the engine step (``Machine._access_one``) and
+falls back to ``Machine.guest_access`` when the step declines.  The
+contract: every ledger total, per-category count, TLB statistic, and
+byte of guest memory matches a machine whose every access takes the
+generic path.  These tests run the same workload on both machines and
+diff the full architectural fingerprint, across strides, sizes,
+page-crossing shapes, first-touch fault storms, timer ticks landing
+mid-sequence, flushes, remaps and non-integral costs.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Machine, MachineConfig
+from repro.cycles import DEFAULT_COSTS
 from repro.mem.physmem import PAGE_SIZE
+from tests.generic_path import force_generic_path
 
 IMAGE = b"trace-cache-equivalence" * 8
 
@@ -38,14 +42,33 @@ def _page_bytes(machine, session, gva):
     return bytes(machine.dram.read(pa & ~(PAGE_SIZE - 1), PAGE_SIZE))
 
 
-def _run_pair(workload, repeats=1, kind="cvm", check_pages=(), **cfg):
-    """Run ``workload`` on a cached and an uncached machine; diff everything.
+def _count_steps(machine) -> list:
+    """Record the PA of every access the engine step completes on ``machine``."""
+    steps = []
+    step = machine._access_one
 
-    Returns ``(cached_machine, cached_session, workload_results)``.
+    def counted(session, gva, access):
+        pa = step(session, gva, access)
+        if pa is not None:
+            steps.append(pa)
+        return pa
+
+    machine._access_one = counted
+    return steps
+
+
+def _run_pair(workload, repeats=1, kind="cvm", check_pages=(), **cfg):
+    """Run ``workload`` on an engine and a generic-path machine; diff everything.
+
+    Returns ``(engine_machine, engine_session, workload_results)``.
     """
     outcomes = []
-    for trace_cache in (True, False):
-        machine = Machine(MachineConfig(trace_cache=trace_cache, **cfg))
+    for generic in (False, True):
+        machine = Machine(MachineConfig(**cfg))
+        if generic:
+            force_generic_path(machine)
+        else:
+            steps = _count_steps(machine)
         if kind == "cvm":
             session = machine.launch_confidential_vm(image=IMAGE)
         else:
@@ -55,17 +78,16 @@ def _run_pair(workload, repeats=1, kind="cvm", check_pages=(), **cfg):
             for _ in range(repeats)
         ]
         outcomes.append((machine, session, results))
-    (cached, cached_session, cached_results) = outcomes[0]
-    (uncached, uncached_session, uncached_results) = outcomes[1]
-    assert cached._trace_cache is not None
-    assert uncached._trace_cache is None
-    assert cached_results == uncached_results
-    assert _fingerprint(cached) == _fingerprint(uncached)
+    (engine, engine_session, engine_results) = outcomes[0]
+    (generic, generic_session, generic_results) = outcomes[1]
+    assert steps, "the engine step completed no access"
+    assert engine_results == generic_results
+    assert _fingerprint(engine) == _fingerprint(generic)
     for gva in check_pages:
-        assert _page_bytes(cached, cached_session, gva) == _page_bytes(
-            uncached, uncached_session, gva
+        assert _page_bytes(engine, engine_session, gva) == _page_bytes(
+            generic, generic_session, gva
         )
-    return cached, cached_session, cached_results
+    return engine, engine_session, engine_results
 
 
 class TestSeqEquivalence:
@@ -87,8 +109,7 @@ class TestSeqEquivalence:
             base = ctx.session.layout.dram_base + base_off
             values = [(i * 2654435761) & 0xFFFF_FFFF for i in range(count)]
             ctx.store_seq(base, values, size=size, stride=stride)
-            # Same shape twice more: the cached machine records on the
-            # first pass and replays on the later ones.
+            # Same shape twice more: the later passes are all TLB hits.
             first = ctx.load_seq(base, count, size=size, stride=stride)
             second = ctx.load_seq(base, count, size=size, stride=stride)
             third = ctx.load_seq(base, count, size=size, stride=stride)
@@ -99,7 +120,7 @@ class TestSeqEquivalence:
         pages = {base_off + i * step for i in range(count)}
         cached, session, results = _run_pair(
             workload,
-            repeats=3,  # cross-run replays hit the all-miss flavor (TLB flushed between runs)
+            repeats=3,  # later runs re-walk: each run's exit flushes the TLB
             check_pages=[
                 0x8000_0000 + off for off in sorted(pages)[:8]
             ],
@@ -124,14 +145,14 @@ class TestSeqEquivalence:
 
     @pytest.mark.parametrize("padding", [1, 3, 17, 999, 65_521])
     def test_timer_tick_lands_mid_sequence(self, padding):
-        """A tick firing inside a replayed chunk must split it exactly."""
+        """A tick firing inside an all-hit sequence lands on the same access."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (32 << 20)
-            # Warm the pages and the trace.
+            # Warm the pages and the TLB.
             warm = ctx.load_seq(base, 256, size=8, stride=PAGE_SIZE // 4)
             tick = ctx.machine.config.timer_tick_cycles
-            # Park just short of the next tick so it fires mid-replay.
+            # Park just short of the next tick so it fires mid-sequence.
             until = ctx.machine.clint.read_mtimecmp(ctx.session.hart.hart_id) - ctx.ledger.total
             ctx.compute(max(1, until - padding))
             replay = ctx.load_seq(base, 256, size=8, stride=PAGE_SIZE // 4)
@@ -141,12 +162,12 @@ class TestSeqEquivalence:
         _run_pair(workload)
 
     def test_store_seq_replay_with_fresh_values(self):
-        """Replays must write the *new* values, not the recorded run's."""
+        """A repeated store sequence writes the *new* values."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (40 << 20)
             ctx.store_seq(base, [0xAA] * 32, stride=PAGE_SIZE)
-            ctx.store_seq(base, [0xBB] * 32, stride=PAGE_SIZE)  # replay, new values
+            ctx.store_seq(base, [0xBB] * 32, stride=PAGE_SIZE)  # same shape, new values
             return ctx.load_seq(base, 32, stride=PAGE_SIZE)
 
         _, _, results = _run_pair(
@@ -187,15 +208,15 @@ class TestSeqEquivalence:
 
 class TestInvalidation:
     def test_remap_invalidates_traces(self):
-        """A table mutation between replays must invalidate the trace."""
+        """A table mutation between sequences must reach the next one."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (56 << 20)
             ctx.store_seq(base, [7] * 16, stride=PAGE_SIZE)
             first = ctx.load_seq(base, 16, stride=PAGE_SIZE)
             # Balloon the pages back to the SM (unmaps + scrubs), then
-            # re-touch: the faults must remap fresh zeroed frames and the
-            # stale trace must not resurrect the old PAs.
+            # re-touch: the faults must remap fresh zeroed frames, not
+            # resurrect the old PAs.
             freed = ctx.reclaim_pages(base, 16)
             assert freed == 16
             second = ctx.load_seq(base, 16, stride=PAGE_SIZE)
@@ -207,7 +228,7 @@ class TestInvalidation:
         assert second == [0] * 16
 
     def test_flush_between_replays(self):
-        """World-switch hfences between runs flip hit traces to miss runs."""
+        """World-switch hfences between runs turn hit runs into miss runs."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (20 << 20)
@@ -217,30 +238,20 @@ class TestInvalidation:
             return out
 
         # Each machine.run() exits and re-enters the CVM, flushing the
-        # TLB: run 1 records, later runs must revalidate structurally.
-        cached, _session, _results = _run_pair(workload, repeats=3)
-        assert len(cached._trace_cache) >= 1
+        # TLB: run 1 faults the pages in, later runs re-walk them.
+        _run_pair(workload, repeats=3)
 
-    def test_map_generation_bump_forces_revalidation(self):
-        machine = Machine(MachineConfig())
-        session = machine.launch_confidential_vm(image=IMAGE)
-        base = session.layout.dram_base + (12 << 20)
+    def test_non_integral_costs_run_the_engine(self):
+        """Fractional costs floor the same way on the engine and generic paths."""
+        costs = dataclasses.replace(DEFAULT_COSTS, tlb_hit=0.5, page_walk_level=2.7)
 
         def workload(ctx):
-            return ctx.load_seq(base, 24, stride=PAGE_SIZE)
+            base = ctx.session.layout.dram_base + (16 << 20)
+            pages = [base + i * PAGE_SIZE for i in range(96)]
+            ctx.store_seq(base, list(range(96)), stride=PAGE_SIZE)  # first-touch faults
+            for _ in range(50):
+                ctx.touch_seq(pages)  # all TLB hits
+            return ctx.load_seq(base, 96, stride=PAGE_SIZE)
 
-        first = machine.run(session, workload)["workload_result"]
-        # Any SM-side table mutation bumps the token; the stale trace must
-        # re-execute (and still produce identical values).
-        machine.monitor.split.map_generation += 1
-        second = machine.run(session, workload)["workload_result"]
-        assert first == second
-
-    def test_non_integral_costs_disable_the_engine(self):
-        import dataclasses
-
-        from repro.cycles import DEFAULT_COSTS
-
-        costs = dataclasses.replace(DEFAULT_COSTS, tlb_hit=0.5)
-        machine = Machine(MachineConfig(costs=costs))
-        assert machine._trace_cache is None
+        _, _, results = _run_pair(workload, repeats=2, costs=costs)
+        assert results[0] == list(range(96))

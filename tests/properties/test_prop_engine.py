@@ -3,12 +3,12 @@
 Hypothesis generates guest access programs over one confidential VM:
 strided ``load_seq``/``store_seq``/``touch_seq`` and single loads and
 stores, page-crossing shapes, balloon reclaims followed by a refault, and
-MMIO and shared-region addresses, all under a short scheduler tick.  Each
-program runs on three machines:
+MMIO and shared-region addresses, all under a short scheduler tick and
+with integral or non-integral costs.  Each program runs on three machines:
 
-- ``trace_cache=True``: the engine step, sequence recorder and replays;
-- ``trace_cache=False``: every access through ``Machine.guest_access``;
-- ``trace_cache=True`` with a ``fault_observer`` installed.
+- the engine step (``Machine._access_one``), falling back when it declines;
+- every access through ``Machine.guest_access`` (``force_generic_path``);
+- the engine step with a ``fault_observer`` installed.
 
 All three must agree on the ledger (total and per category), the TLB
 statistics, the SM's per-stage fault counts, the values the guest read
@@ -18,11 +18,15 @@ per SM fault, without changing anything it observes.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro import Machine, MachineConfig
+from repro.cycles import DEFAULT_COSTS
 from repro.errors import ReproError
 from repro.mem.physmem import PAGE_SIZE
+from tests.generic_path import force_generic_path
 
 IMAGE = b"engine-differential" * 16
 #: Private pages the programs aim at (8 MB into guest DRAM, past the image).
@@ -54,6 +58,10 @@ ops = st.one_of(
 )
 programs = st.lists(ops, min_size=1, max_size=12)
 ticks = st.sampled_from([15_000, 40_000, 120_000])
+costs = st.sampled_from([
+    DEFAULT_COSTS,
+    dataclasses.replace(DEFAULT_COSTS, tlb_hit=0.5, page_walk_level=2.7),
+])
 
 
 def _address(layout, where) -> int:
@@ -93,16 +101,18 @@ def _execute(ctx, program) -> list:
     return seen
 
 
-def _run(program, tick, trace_cache, observe):
-    machine = Machine(MachineConfig(timer_tick_cycles=tick, trace_cache=trace_cache))
+def _run(program, tick, cost_model, generic, observe):
+    machine = Machine(MachineConfig(timer_tick_cycles=tick, costs=cost_model))
+    if generic:
+        force_generic_path(machine)
     calls = []
     if observe:
         machine.fault_observer = lambda kind, stage, cycles: calls.append(kind)
     session = machine.launch_confidential_vm(image=IMAGE)
 
     def workload(ctx):
-        # Twice per run, and two runs: later passes replay recorded traces
-        # (all-hit within a run, all-miss after the exit's TLB flush).
+        # Twice per run, and two runs: later passes are all TLB hits within
+        # a run and re-walks after the exit's TLB flush.
         try:
             return _execute(ctx, program) + _execute(ctx, program)
         except ReproError as error:
@@ -125,17 +135,15 @@ def _run(program, tick, trace_cache, observe):
         "fault_stages": dict(machine.monitor.fault_stage_counts),
         "pages": pages,
     }
-    return fingerprint, calls, machine
+    return fingerprint, calls
 
 
 @settings(max_examples=40, deadline=None)
-@given(program=programs, tick=ticks)
-def test_engine_matches_generic_path(program, tick):
-    engine, _, engine_machine = _run(program, tick, trace_cache=True, observe=False)
-    generic, _, generic_machine = _run(program, tick, trace_cache=False, observe=False)
-    observed, calls, _ = _run(program, tick, trace_cache=True, observe=True)
-    assert engine_machine._trace_cache is not None
-    assert generic_machine._trace_cache is None
+@given(program=programs, tick=ticks, cost_model=costs)
+def test_engine_matches_generic_path(program, tick, cost_model):
+    engine, _ = _run(program, tick, cost_model, generic=False, observe=False)
+    generic, _ = _run(program, tick, cost_model, generic=True, observe=False)
+    observed, calls = _run(program, tick, cost_model, generic=False, observe=True)
     assert engine == generic
     assert observed == engine
     assert calls == ["sm"] * sum(engine["fault_stages"].values())
