@@ -80,6 +80,21 @@ def kv_burst(ops: int, working_set_pages: int = 12,
     return workload
 
 
+def _payloads(chunk: int):
+    """``payload_at(n)``: the ``chunk`` bytes ``(n + i) & 0xFF``, i = 0, 1, ...
+
+    Each payload is a slice of one 256-periodic pattern built here once,
+    not a per-byte generator per operation.
+    """
+    pattern = bytes(range(256)) * (chunk // 256 + 2)
+
+    def payload_at(n: int) -> bytes:
+        start = n & 0xFF
+        return pattern[start : start + chunk]
+
+    return payload_at
+
+
 def file_burst(ops: int, chunk: int = 4096):
     """An iozone-like serving burst: sequential write/read-back stream.
 
@@ -89,13 +104,15 @@ def file_burst(ops: int, chunk: int = 4096):
     "mismatches"}``.
     """
 
+    payload_at = _payloads(chunk)
+
     def workload(ctx):
         base = ctx.session.layout.dram_base + 0x0100_0000
         counter = ctx.load(_counter_gva(ctx))
         mismatches = 0
         for op in range(ops):
             offset = ((counter + op) % 16) * chunk
-            payload = bytes((counter + op + i) & 0xFF for i in range(chunk))
+            payload = payload_at(counter + op)
             ctx.write_bytes(base + offset, payload)
             if ctx.read_bytes(base + offset, chunk) != payload:
                 mismatches += 1

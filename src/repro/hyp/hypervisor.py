@@ -14,6 +14,8 @@ touch secure memory faults exactly as on hardware.
 
 from __future__ import annotations
 
+import struct
+
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.hyp.devices import MmioRegistry
 from repro.hyp.vm import CvmHostHandle, NormalVm
@@ -26,6 +28,12 @@ from repro.sm.vcpu import SHARED_VCPU_FIELDS
 
 #: Default contiguous chunk donated per pool-expansion request.
 DEFAULT_EXPAND_CHUNK = 8 << 20
+
+#: Leaf flags of every shared-window mapping.
+_SHARED_FLAGS = PTE_R | PTE_W | PTE_U | PTE_D
+
+#: GPA span one leaf table maps (512 PTEs x 4 KiB).
+_LEAF_TABLE_SPAN = 2 << 20
 
 
 class _HypAccessor:
@@ -231,7 +239,8 @@ class Hypervisor:
         layout = handle.layout
         if window > layout.shared_size:
             raise ValueError("shared window exceeds the layout's shared region")
-        accessor = _HypAccessor(self.bus, hart)
+        if window % PAGE_SIZE:
+            raise ValueError("shared window must be a whole number of pages")
         root_index = layout.shared_base >> 30
         subtree = self.allocator.alloc()
         self.bus.cpu_zero_range(hart, subtree, PAGE_SIZE)
@@ -241,28 +250,46 @@ class Hypervisor:
         backing = self.allocator.alloc(size=window)
         handle.shared_window_base = backing
         handle.shared_window_size = window
-        flags = PTE_R | PTE_W | PTE_U | PTE_D
-        for offset in range(0, window, PAGE_SIZE):
-            gpa = layout.shared_base + offset
-            self._map_in_subtree(accessor, hart, subtree, gpa, backing + offset, flags)
+        self._map_range_in_subtree(hart, subtree, layout.shared_base, backing, window, _SHARED_FLAGS)
 
-    def _map_in_subtree(self, accessor, hart, subtree_pa: int, gpa: int, pa: int, flags: int) -> None:
-        """Map a page under a shared level-1 table the hypervisor owns.
+    def _map_range_in_subtree(self, hart, subtree: int, gpa: int, pa: int, size: int, flags: int) -> None:
+        """Map ``size`` bytes at ``gpa`` to ``pa`` under a shared subtree.
 
         The subtree root covers 1 GiB (a stage-2 root slot); levels below
-        it are normal Sv39x4 geometry.
+        it are normal Sv39x4 geometry.  The range is mapped in runs that
+        end at a 2 MiB leaf-table boundary.  Per run: one PMP-checked read
+        of the level-1 slot (a missing leaf table is allocated, zeroed and
+        linked), one PMP-checked store of all the run's leaf PTEs, and one
+        walk charge for its pages.  A run never leaves its table page, so
+        the one range check covers exactly the bytes per-PTE checks would.
         """
-        level1_index = (gpa >> 21) & 0x1FF
-        slot = subtree_pa + 8 * level1_index
-        pte = accessor.read_u64(slot)
-        if not pte & 1:
-            leaf_table = self._alloc_table_page(hart)
-            accessor.write_u64(slot, (leaf_table >> 12) << 10 | 1)
-            pte = accessor.read_u64(slot)
-        leaf_table = (pte >> 10) << 12
-        leaf_index = (gpa >> 12) & 0x1FF
-        accessor.write_u64(leaf_table + 8 * leaf_index, (pa >> 12) << 10 | flags | 1)
-        self.ledger.charge(Category.PAGE_WALK, 2 * self.costs.page_walk_level)
+        end = gpa + size
+        if size and gpa >> 30 != (end - 1) >> 30:
+            raise ValueError(f"shared range [{gpa:#x}, {end:#x}) leaves its 1 GiB subtree")
+        bus = self.bus
+        # Floored per page, as each per-page charge was: with fractional
+        # costs, flooring the run's total would charge more.
+        walk_per_page = int(2 * self.costs.page_walk_level)
+        while gpa < end:
+            run_end = min(end, (gpa | _LEAF_TABLE_SPAN - 1) + 1)
+            pages = (run_end - gpa) >> 12
+            slot = subtree + 8 * ((gpa >> 21) & 0x1FF)
+            pte = bus.cpu_read_u64(hart, slot)
+            if pte & 1:
+                leaf_table = (pte >> 10) << 12
+            else:
+                leaf_table = self._alloc_table_page(hart)
+                bus.cpu_write_u64(hart, slot, (leaf_table >> 12) << 10 | 1)
+            first_ppn = pa >> 12
+            leaves = [(first_ppn + i) << 10 | flags | 1 for i in range(pages)]
+            bus.cpu_write(
+                hart,
+                leaf_table + 8 * ((gpa >> 12) & 0x1FF),
+                struct.pack(f"<{pages}Q", *leaves),
+            )
+            self.ledger.charge(Category.PAGE_WALK, pages * walk_per_page)
+            pa += run_end - gpa
+            gpa = run_end
 
     def shared_gpa_to_hpa(self, handle: CvmHostHandle, gpa: int) -> int:
         """Device-side translation through the hypervisor's shared view.
@@ -343,9 +370,7 @@ class Hypervisor:
         page_gpa = gpa & ~(PAGE_SIZE - 1)
         pa = self.allocator.alloc()
         self.bus.cpu_zero_range(hart, pa, PAGE_SIZE)
-        accessor = _HypAccessor(self.bus, hart)
-        flags = PTE_R | PTE_W | PTE_U | PTE_D
-        self._map_in_subtree(accessor, hart, subtree, page_gpa, pa, flags)
+        self._map_range_in_subtree(hart, subtree, page_gpa, pa, PAGE_SIZE, _SHARED_FLAGS)
         self.translator.sfence_page(0, page_gpa)
 
     def service_plic(self, hart, cvm=None, vcpu_id: int = 0, machine=None) -> int:
@@ -392,14 +417,10 @@ class Hypervisor:
         self.ledger.charge(Category.HYP_LOGIC, self.costs.hyp_sched_pass)
         backing = self.allocator.alloc(size=size)
         self.bus.cpu_zero_range(self.hart, backing, size)
-        accessor = _HypAccessor(self.bus, self.hart)
-        root_index = handle.layout.shared_base >> 30
-        subtree = handle.shared_subtrees[root_index]
-        flags = PTE_R | PTE_W | PTE_U | PTE_D
+        subtree = handle.shared_subtrees[handle.layout.shared_base >> 30]
         old_size = handle.shared_window_size
-        for offset in range(0, size, PAGE_SIZE):
-            gpa = handle.layout.shared_base + old_size + offset
-            self._map_in_subtree(accessor, self.hart, subtree, gpa, backing + offset, flags)
+        gpa = handle.layout.shared_base + old_size
+        self._map_range_in_subtree(self.hart, subtree, gpa, backing, size, _SHARED_FLAGS)
         handle.shared_window_size = old_size + size
         return handle.layout.shared_base + old_size
 

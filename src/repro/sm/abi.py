@@ -25,8 +25,12 @@ import enum
 from repro.cycles import Category
 from repro.errors import EcallError, SecurityViolation, TrapRaised
 from repro.isa.privilege import PrivilegeMode
+from repro.mem.pagetable import Sv39x4
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.alloc import PoolExhausted
+
+#: First GPA past the 41-bit Sv39x4 guest-physical space.
+_GPA_LIMIT = 1 << Sv39x4().va_bits
 
 
 class SbiError(enum.IntEnum):
@@ -38,6 +42,10 @@ class SbiError(enum.IntEnum):
     INVALID_PARAM = -3
     DENIED = -4
     INVALID_ADDRESS = -5
+
+
+class _InvalidAddress(EcallError):
+    """A guest buffer GPA outside the guest-physical address space."""
 
 
 EXT_ZION_HOST = 0x5A4E_0001
@@ -126,6 +134,8 @@ class EcallInterface:
             if eid == EXT_ZION_GUEST:
                 return self._guest_call(hart, fid, args)
             return SbiError.NOT_SUPPORTED, 0
+        except _InvalidAddress:
+            return SbiError.INVALID_ADDRESS, 0
         except EcallError:
             return SbiError.INVALID_PARAM, 0
         except SecurityViolation:
@@ -249,12 +259,16 @@ class EcallInterface:
 
         The SM refuses buffers that are unmapped, misaligned, or that
         cross a page boundary (like real SBI implementations, callers
-        pass 8-byte-aligned, page-local buffers).
+        pass 8-byte-aligned, page-local buffers).  A GPA outside the
+        41-bit guest-physical space is refused before the walk, as
+        ``INVALID_ADDRESS``.
         """
         if gpa % 8:
             raise EcallError("guest buffer address must be 8-byte aligned")
         if length < 0:
             raise EcallError("guest buffer length must be non-negative")
+        if not 0 <= gpa < _GPA_LIMIT:
+            raise _InvalidAddress(f"guest buffer GPA {gpa:#x} outside the guest-physical space")
         if gpa // PAGE_SIZE != (gpa + max(length, 1) - 1) // PAGE_SIZE:
             raise EcallError("guest buffer crosses a page boundary")
         try:

@@ -46,6 +46,12 @@ class GpaLayout:
             )
         if self.dram_base + self.dram_size > self.shared_base:
             raise ValueError("private DRAM overlaps the shared region")
+        # The hypervisor links one 1 GiB subtree at ``shared_base``: a
+        # larger region would wrap its level-1 index onto its own start.
+        if self.shared_size > 1 << 30:
+            raise ValueError("shared region exceeds its one 1 GiB subtree")
+        if self.shared_base + self.shared_size > 1 << 41:
+            raise ValueError("shared region ends above the 41-bit Sv39x4 GPA space")
 
     def in_private_dram(self, gpa: int) -> bool:
         """Whether the GPA lies in the SM-managed private DRAM window."""

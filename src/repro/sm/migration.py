@@ -30,6 +30,12 @@ from repro.sm.cvm import CvmState, GpaLayout
 
 _MAGIC = b"ZIONMIG1"
 
+#: RFC 2104 key-pad translations (each byte XORed with ipad / opad).
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+_COUNTER = struct.Struct("<Q")
+
 
 def derive_migration_key(fleet_secret: bytes, src_nonce: bytes, dst_nonce: bytes) -> bytes:
     """Both SMs derive the same key from the fleet secret + fresh nonces."""
@@ -37,13 +43,24 @@ def derive_migration_key(fleet_secret: bytes, src_nonce: bytes, dst_nonce: bytes
 
 
 def _keystream(key: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
+    """HMAC-SHA256(enc_key, counter) blocks, counter = 0, 1, ... (CTR).
+
+    The HMAC is computed as RFC 2104 defines it, with the inner and
+    outer SHA-256 states over the padded key hashed once: each block
+    then costs two state copies instead of a fresh ``hmac`` object.
+    """
     enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
-    while len(out) < length:
-        out += hmac.new(enc_key, struct.pack("<Q", counter), hashlib.sha256).digest()
-        counter += 1
-    return bytes(out[:length])
+    block_key = enc_key.ljust(64, b"\0")
+    inner = hashlib.sha256(block_key.translate(_IPAD))
+    outer = hashlib.sha256(block_key.translate(_OPAD))
+    blocks = []
+    for counter in range(-(-length // 32)):
+        inner_hash = inner.copy()
+        inner_hash.update(_COUNTER.pack(counter))
+        outer_hash = outer.copy()
+        outer_hash.update(inner_hash.digest())
+        blocks.append(outer_hash.digest())
+    return b"".join(blocks)[:length]
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

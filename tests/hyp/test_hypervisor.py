@@ -96,6 +96,12 @@ class TestCvmHosting:
                 layout=GpaLayout(shared_size=1 << 20), shared_window=2 << 20,
             )
 
+    def test_window_of_partial_pages_rejected(self, machine):
+        with pytest.raises(ValueError, match="whole number of pages"):
+            machine.hypervisor.host_create_cvm(
+                machine.monitor, machine.hart, shared_window=(1 << 20) + 100
+            )
+
 
 class TestPoolExpansion:
     def test_expansion_registers_contiguous_chunk(self, machine):

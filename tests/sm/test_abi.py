@@ -281,6 +281,32 @@ class TestAbiErrorPaths:
         )
 
 
+    #: Each guest call that takes a buffer, with that buffer's GPA set to
+    #: ``bad`` and every other argument valid.
+    BUFFER_CALLS = {
+        GuestFunction.GET_MEASUREMENT: lambda base, bad: (bad,),
+        GuestFunction.GET_ATTESTATION_REPORT: lambda base, bad: (bad, 8, base + 0x8000),
+        GuestFunction.CHANNEL_CREATE: lambda base, bad: (base + 0x200_0000, 4 * 4096, bad),
+        GuestFunction.CHANNEL_CONNECT: lambda base, bad: (0, base + 0x200_0000, bad),
+    }
+
+    @pytest.mark.parametrize("bad_gpa", [2**41, 2**64 - 8])
+    @pytest.mark.parametrize("fid", list(BUFFER_CALLS), ids=lambda fid: fid.name)
+    def test_buffer_gpa_outside_the_guest_space_is_invalid_address(
+        self, machine, fid, bad_gpa
+    ):
+        """A buffer GPA at or above 2^41 returns -5 instead of raising."""
+        session = machine.launch_confidential_vm(image=b"x")
+        args = self.BUFFER_CALLS[fid](session.layout.dram_base, bad_gpa)
+
+        def workload(ctx):
+            ctx.touch(session.layout.dram_base + 0x8000)
+            return ctx.sbi_ecall(EXT_ZION_GUEST, int(fid), *args)
+
+        error, _ = machine.run(session, workload)["workload_result"]
+        assert error == SbiError.INVALID_ADDRESS == -5
+
+
 class TestDescribeCvm:
     """DESCRIBE_CVM: the sanctioned host view of a CVM's shape."""
 

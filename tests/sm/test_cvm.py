@@ -45,6 +45,17 @@ class TestGpaLayout:
         with pytest.raises(ValueError):
             GpaLayout(dram_size=(256 << 20) + 1)
 
+    def test_shared_region_fits_one_subtree(self):
+        """The hypervisor links one 1 GiB subtree at ``shared_base``."""
+        assert GpaLayout(shared_size=1 << 30).shared_size == 1 << 30
+        with pytest.raises(ValueError, match="1 GiB subtree"):
+            GpaLayout(shared_size=(1 << 30) + 4096)
+
+    def test_shared_region_ends_inside_the_gpa_space(self):
+        assert GpaLayout(shared_base=(1 << 41) - (1 << 30), shared_size=1 << 30)
+        with pytest.raises(ValueError, match="41-bit"):
+            GpaLayout(shared_base=1 << 41)
+
 
 class TestConfidentialVm:
     def test_initial_state(self):

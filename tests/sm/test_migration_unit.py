@@ -1,6 +1,8 @@
 """Migration module internals: keystream, framing, key derivation."""
 
 import hashlib
+import hmac
+import struct
 
 import pytest
 
@@ -8,7 +10,23 @@ from repro import Machine, MachineConfig
 from repro.sm.migration import _keystream, _mac, _xor, derive_migration_key
 
 
+def keystream_per_block(key: bytes, length: int) -> bytes:
+    """The keystream with one ``hmac.new`` object per 32-byte block."""
+    out = bytearray()
+    counter = 0
+    enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
+    while len(out) < length:
+        out += hmac.new(enc_key, struct.pack("<Q", counter), hashlib.sha256).digest()
+        counter += 1
+    return bytes(out[:length])
+
+
 class TestKeystream:
+    @pytest.mark.parametrize("key", [b"k" * 32, derive_migration_key(b"fleet", b"src", b"dst")])
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1_000, 17_567, 400_000])
+    def test_matches_the_per_block_hmac_form(self, key, length):
+        assert _keystream(key, length) == keystream_per_block(key, length)
+
     def test_deterministic(self):
         assert _keystream(b"k" * 32, 100) == _keystream(b"k" * 32, 100)
 
