@@ -21,7 +21,6 @@ migration cost against guest memory footprint.  The experiment registry
 from __future__ import annotations
 
 import dataclasses
-import statistics
 
 from repro import Machine, MachineConfig
 from repro.cycles import DEFAULT_COSTS
@@ -37,17 +36,14 @@ def run_block_size_ablation(block_sizes=(64 << 10, 256 << 10, 1 << 20), pages: i
     rows = {}
     for block_size in block_sizes:
         machine = Machine(MachineConfig(secure_block_size=block_size))
-        samples = {stage: [] for stage in AllocStage}
-        machine.fault_observer = (
-            lambda kind, stage, cycles, s=samples: s[stage].append(cycles)
-        )
         session = machine.launch_confidential_vm(image=b"abl" * 100)
         machine.run(session, sequential_write_stress(pages))
-        all_faults = [c for stage_samples in samples.values() for c in stage_samples]
+        counts = machine.monitor.fault_stage_counts
+        faults = sum(counts.values())
         rows[block_size] = {
-            "avg_fault_cycles": statistics.mean(all_faults),
-            "stage1_share_pct": 100.0 * len(samples[AllocStage.PAGE_CACHE]) / len(all_faults),
-            "stage2_count": len(samples[AllocStage.NEW_BLOCK]),
+            "avg_fault_cycles": sum(machine.monitor.fault_stage_cycles.values()) / faults,
+            "stage1_share_pct": 100.0 * counts[AllocStage.PAGE_CACHE] / faults,
+            "stage2_count": counts[AllocStage.NEW_BLOCK],
             "pool_bytes_held": sum(
                 block.size
                 for block in machine.monitor._cvm_blocks[session.cvm.cvm_id]
@@ -65,11 +61,13 @@ def run_page_cache_ablation(pages: int = 256) -> dict:
     rows = {}
     for label, use_cache in (("with_cache", True), ("no_cache", False)):
         machine = Machine(MachineConfig(use_page_cache=use_cache))
-        samples = []
-        machine.fault_observer = lambda kind, stage, cycles, s=samples: s.append(cycles)
         session = machine.launch_confidential_vm(image=b"abl" * 100)
         machine.run(session, sequential_write_stress(pages))
-        rows[label] = statistics.mean(samples)
+        monitor = machine.monitor
+        rows[label] = (
+            sum(monitor.fault_stage_cycles.values())
+            / sum(monitor.fault_stage_counts.values())
+        )
     rows["cache_benefit_pct"] = 100.0 * (rows["no_cache"] - rows["with_cache"]) / rows["no_cache"]
     return rows
 

@@ -117,34 +117,28 @@ def run_page_fault_experiment(pages: int = 512, small_pool: bool = True) -> dict
     """
     # Normal VM.
     machine = Machine(MachineConfig())
-    kvm_samples = []
-    machine.fault_observer = lambda kind, stage, cycles: kvm_samples.append(cycles)
     session = machine.launch_normal_vm()
     machine.run(session, sequential_write_stress(pages))
+    normal_vm = machine.kvm_fault_cycles / machine.kvm_fault_count
 
     # Confidential VM.
     pool = (2 << 20) if small_pool else (64 << 20)
     machine = Machine(MachineConfig(initial_pool_bytes=pool))
-    sm_samples: dict = {stage: [] for stage in AllocStage}
-
-    def observe(kind, stage, cycles):
-        sm_samples[stage].append(cycles)
-
-    machine.fault_observer = observe
     session = machine.launch_confidential_vm(image=b"pf" * 100)
     machine.run(session, sequential_write_stress(pages))
 
-    all_cvm = [c for samples in sm_samples.values() for c in samples]
+    counts = machine.monitor.fault_stage_counts
+    cycles = machine.monitor.fault_stage_cycles
     result = {
-        "normal_vm": statistics.mean(kvm_samples),
-        "cvm_average": statistics.mean(all_cvm),
+        "normal_vm": normal_vm,
+        "cvm_average": sum(cycles.values()) / sum(counts.values()),
         "pages": pages,
-        "stage_counts": {s.name: len(sm_samples[s]) for s in AllocStage},
+        "stage_counts": {s.name: counts[s] for s in AllocStage},
     }
     for stage, key in (
         (AllocStage.PAGE_CACHE, "cvm_stage1"),
         (AllocStage.NEW_BLOCK, "cvm_stage2"),
         (AllocStage.POOL_EXPANSION, "cvm_stage3"),
     ):
-        result[key] = statistics.mean(sm_samples[stage]) if sm_samples[stage] else None
+        result[key] = cycles[stage] / counts[stage] if counts[stage] else None
     return result

@@ -14,6 +14,10 @@ index (no enum hashing), and spans track only the categories actually
 charged inside them (a dirty set per open span, propagated to the parent
 on close) instead of snapshotting and diffing whole category dicts.  None
 of this changes what is charged -- the cycle model is identical.
+
+The ledger also owns the machine's always-on event ring of plain tuples
+``(cycle, kind, *fields)``, written at the one site of each event and
+read by :class:`repro.trace.Tracer`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ for _index, _category in enumerate(_CATEGORIES):
     _category.index = _index
 del _index, _category
 
+#: Records the event ring holds (a power of two).  A full ring of
+#: 4,096 small tuples is about 0.6 MB per machine.
+EVENT_RING_CAPACITY = 4096
+_RING_MASK = EVENT_RING_CAPACITY - 1
+
 
 class CycleLedger:
     """Accumulates simulated cycles, tagged by category.
@@ -54,7 +63,8 @@ class CycleLedger:
     mirroring a hardware cycle counter.
     """
 
-    __slots__ = ("_total", "_counts", "_charged_mask", "_span_stack")
+    __slots__ = ("_total", "_counts", "_charged_mask", "_span_stack",
+                 "_event_ring", "_event_seq")
 
     def __init__(self):
         self._total = 0
@@ -65,6 +75,11 @@ class CycleLedger:
         self._charged_mask = 0
         #: Dirty sets of the currently-open spans, innermost last.
         self._span_stack: list = []
+        #: Record ``n`` lives at ``_event_ring[n & _RING_MASK]``; later
+        #: records overwrite earlier ones once the ring is full.
+        self._event_ring: list = [None] * EVENT_RING_CAPACITY
+        #: Records ever written: the sequence number of the next one.
+        self._event_seq = 0
 
     @property
     def total(self) -> int:
@@ -80,6 +95,25 @@ class CycleLedger:
             for i, cat in enumerate(_CATEGORIES)
             if mask >> i & 1
         }
+
+    @property
+    def event_count(self) -> int:
+        """Records ever written to the event ring (overwritten ones too)."""
+        return self._event_seq
+
+    def events(self, start: int = 0) -> tuple:
+        """``(records, dropped)``: the ring's records from number ``start``
+        on, oldest first, and how many of those it has overwritten."""
+        stop = self._event_seq
+        first = max(start, stop - EVENT_RING_CAPACITY)
+        ring = self._event_ring
+        return [ring[seq & _RING_MASK] for seq in range(first, stop)], first - start
+
+    def _record(self, kind: str, *fields) -> None:
+        """Write one event record stamped with the current total."""
+        seq = self._event_seq
+        self._event_ring[seq & _RING_MASK] = (self._total, kind, *fields)
+        self._event_seq = seq + 1
 
     def charge(self, category: Category, cycles) -> None:
         """Charge ``cycles`` (int or float, floored at >=0) to ``category``."""

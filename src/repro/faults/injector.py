@@ -1,9 +1,8 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` to a live machine.
 
-Hooks the same seams the tracer does -- non-invasive method wrapping
-with an ``_unhook`` list, attachable to any built machine without a
-rebuild -- and perturbs them when their seam counter reaches a planned
-event's trigger:
+Wraps four seams -- method wrapping with an ``_unhook`` list,
+attachable to any built machine without a rebuild -- and perturbs them
+when their seam counter reaches a planned event's trigger:
 
 - ``enter`` (``WorldSwitch.enter_cvm`` with a pending exit context):
   overwrite a shared-vCPU field *before* Check-after-Load reads it;
@@ -12,8 +11,8 @@ event's trigger:
   prefix, tear a ring counter;
 - ``expand`` (``Hypervisor.on_pool_expand_request``): donate nothing, or
   a single block instead of the configured chunk;
-- ``timer`` (``Machine.check_timer``): inject a spurious timer
-  exit/entry cycle.
+- ``timer`` (``Machine.check_timer`` calls with the tick due): inject a
+  spurious timer exit/entry cycle.
 
 After every injected event the injector runs
 :func:`~repro.faults.invariants.check_postconditions` at the next point
@@ -270,6 +269,11 @@ class FaultInjector:
         original_timer = machine.check_timer
 
         def faulted_timer(session):
+            # An occurrence is a due tick, not a call: the engine step
+            # only calls check_timer when the tick is due, the generic
+            # path on every access.
+            if machine.ledger.total < machine.clint.read_mtimecmp(session.hart.hart_id):
+                return original_timer(session)
             due = self._due("timer")
             spurious = [e for e in due if e.site == "timer_spurious"]
             if spurious and session.kind is VmKind.CONFIDENTIAL and session.active:

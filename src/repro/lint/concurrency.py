@@ -56,6 +56,8 @@ GUARDED_ATTRS: dict[str, set[tuple[str, str]]] = {
     # allocator block bookkeeping
     "block": set(),
     "_global_block": set(),
+    # the machine's event ring: written only through the ledger's helper
+    "_event_ring": {("cycles/ledger.py", "CycleLedger._record")},
 }
 
 #: Method calls that mutate their receiver in place.

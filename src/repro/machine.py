@@ -665,7 +665,9 @@ class Machine:
             # The fix maps the page read/write/execute and sfences it, so
             # the retry walks again and cannot decline; the per-access
             # path performs no timer check in between either.
-            self._sm_fault(session, gva, leaf_slot)
+            self.monitor.handle_guest_page_fault(
+                hart, session.cvm, session.vcpu_id, gva, leaf_slot
+            )
         raise ConfigurationError(
             f"guest access at {gva:#x} did not make progress after 8 faults"
         )
@@ -719,14 +721,17 @@ class Machine:
                 self.hypervisor.normal_vm_enter(session.hart)
                 self._deliver_normal_irqs(session)
                 return value
-            with self.ledger.span() as span:
-                self.hypervisor.normal_vm_exit(session.hart)
-                self.hypervisor.handle_normal_stage2_fault(
-                    session.hart, session.normal_vm, gpa
-                )
-                self.hypervisor.normal_vm_enter(session.hart)
-            if self.fault_observer is not None:
-                self.fault_observer("kvm", None, span.cycles)
+            ledger = self.ledger
+            start = ledger._total
+            self.hypervisor.normal_vm_exit(session.hart)
+            self.hypervisor.handle_normal_stage2_fault(
+                session.hart, session.normal_vm, gpa
+            )
+            self.hypervisor.normal_vm_enter(session.hart)
+            cycles = ledger._total - start
+            self.kvm_fault_count += 1
+            self.kvm_fault_cycles += cycles
+            ledger._record("fault", "kvm", None, cycles)
             return None
         raise SecurityViolation(f"unhandled normal-VM trap {trap.cause!r}")
 
@@ -752,7 +757,9 @@ class Machine:
         if layout.in_private_dram(gpa):
             # Stage-2 fault on private memory: the SM resolves it alone --
             # no world switch, the whole point of SM-side allocation.
-            self._sm_fault(session, gpa)
+            self.monitor.handle_guest_page_fault(
+                session.hart, session.cvm, session.vcpu_id, gpa
+            )
             return None
         if layout.in_mmio(gpa):
             return self._emulate_mmio_cvm(session, gpa, access)
@@ -773,25 +780,6 @@ class Machine:
         raise SecurityViolation(
             f"CVM {session.cvm.cvm_id} faulted outside every region: GPA {gpa:#x}"
         )
-
-    def _sm_fault(self, session: GuestSession, gpa: int, leaf_slot: int = 0) -> None:
-        """Run the SM's stage-2 fault handler for a private-DRAM fault.
-
-        Both the engine step and the generic trap dispatch come here, so
-        observing faults never changes which code handles them.  Spans
-        are charge-free snapshots: one is opened only for an observer.
-        """
-        monitor = self.monitor
-        if self.fault_observer is None:
-            monitor.handle_guest_page_fault(
-                session.hart, session.cvm, session.vcpu_id, gpa, leaf_slot
-            )
-            return
-        with self.ledger.span() as span:
-            stage = monitor.handle_guest_page_fault(
-                session.hart, session.cvm, session.vcpu_id, gpa, leaf_slot
-            )
-        self.fault_observer("sm", stage, span.cycles)
 
     def _emulate_mmio_cvm(self, session: GuestSession, gpa: int, access: AccessType):
         """The full MMIO exit: SM -> hypervisor/QEMU -> SM -> guest."""
@@ -840,11 +828,10 @@ class Machine:
     #: reach the device model through the exit path, as htinst implies).
     _pending_store_value: int = 0
     _normal_irq_flag: bool = False
-    #: Optional instrumentation: ``callable(kind, stage, cycles)`` invoked
-    #: after every stage-2 fault is handled ("kvm" or "sm" paths).  Used
-    #: by the E3 experiment harness; setting it never changes which code
-    #: handles a fault.
-    fault_observer = None
+    #: Normal-VM stage-2 faults the KVM path handled, and the cycles they
+    #: took from the VM exit to the re-entry (E3's baseline).
+    kvm_fault_count: int = 0
+    kvm_fault_cycles: int = 0
 
 
 class GuestContext:

@@ -61,6 +61,10 @@ class _MetadataAllocator:
 class SecureMonitor:
     """The M-mode security monitor."""
 
+    #: Most vCPUs one CVM may have: the SM builds a secure vCPU per
+    #: requested one, so an unbounded count is unbounded SM memory.
+    MAX_VCPUS = 64
+
     def __init__(
         self,
         bus,
@@ -121,8 +125,10 @@ class SecureMonitor:
         self.hypervisor = None
         #: Platform CLINT for cross-hart shootdowns; installed by the machine.
         self.clint = None
-        #: Per-stage fault-handling statistics for the E3 experiment.
+        #: Per-stage fault-handling statistics for the E3 experiment:
+        #: faults handled, and the cycles they took (mean = sum / count).
         self.fault_stage_counts = {stage: 0 for stage in AllocStage}
+        self.fault_stage_cycles = {stage: 0 for stage in AllocStage}
 
     def connect_hypervisor(self, hypervisor) -> None:
         """Install the Normal-mode callback target (stage-3 expansion)."""
@@ -138,7 +144,12 @@ class SecureMonitor:
         Divides the region into blocks (charged per block), covers it with
         PMP + IOPMP, and scrubs it.  Returns the number of blocks created.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_register_pool_memory")
+        dram = self.dram
+        if not dram.base <= base <= base + size <= dram.base + dram.size:
+            raise EcallError(
+                f"pool region [{base:#x}, +{size:#x}) lies outside DRAM"
+            )
         count = self.pool.register_region(base, size)
         self.ledger.charge(Category.ALLOC, count * self.costs.block_register)
         self.pmp.add_pool_region(base, size)
@@ -167,9 +178,11 @@ class SecureMonitor:
 
     def ecall_create_cvm(self, layout: GpaLayout | None = None, vcpu_count: int = 1) -> int:
         """Create a CVM: allocate and zero its 16 KB stage-2 root."""
-        self._charge_ecall()
-        if vcpu_count < 1:
-            raise EcallError("a CVM needs at least one vCPU")
+        self._charge_ecall("ecall_create_cvm")
+        if not 1 <= vcpu_count <= self.MAX_VCPUS:
+            raise EcallError(
+                f"a CVM needs 1..{self.MAX_VCPUS} vCPUs, not {vcpu_count}"
+            )
         layout = layout or GpaLayout()
         cvm = ConfidentialVm(next(self._ids), next(self._vmids), layout, vcpu_count)
         root = self.metadata.alloc(size=16 * 1024, align=16 * 1024)
@@ -189,7 +202,7 @@ class SecureMonitor:
 
     def ecall_assign_shared_vcpu(self, cvm_id: int, vcpu_id: int, base_pa: int) -> None:
         """The hypervisor donates a normal page as the shared vCPU area."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_assign_shared_vcpu")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         # Check-after-Load: vcpu_id arrives in a hypervisor register; an
@@ -203,7 +216,7 @@ class SecureMonitor:
 
     def ecall_load_image(self, cvm_id: int, gpa: int, data: bytes) -> None:
         """Copy guest image bytes into newly allocated private pages."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_load_image")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         if gpa % PAGE_SIZE:
@@ -220,7 +233,7 @@ class SecureMonitor:
 
     def ecall_set_entry_point(self, cvm_id: int, vcpu_id: int, pc: int) -> None:
         """Set a vCPU's boot PC (measured into the launch digest)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_set_entry_point")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         vcpu = cvm.vcpu(vcpu_id)
@@ -230,7 +243,7 @@ class SecureMonitor:
 
     def ecall_finalize(self, cvm_id: int) -> bytes:
         """Seal the launch measurement; the CVM becomes runnable."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_finalize")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         for vcpu in cvm.vcpus:
@@ -248,7 +261,7 @@ class SecureMonitor:
 
     def ecall_link_shared_subtree(self, cvm_id: int, root_index: int, table_pa: int) -> None:
         """Link a hypervisor-managed shared-region subtree (section IV-E)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_link_shared_subtree")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED, CvmState.FINALIZED, CvmState.RUNNING)
         # A first link installs into an empty shared root slot (the SM
@@ -264,14 +277,14 @@ class SecureMonitor:
 
     def ecall_suspend(self, cvm_id: int) -> None:
         """Park a runnable CVM (required before migration export)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_suspend")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
         cvm.state = CvmState.SUSPENDED
 
     def ecall_resume(self, cvm_id: int) -> None:
         """Return a suspended CVM to the runnable state."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_resume")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.SUSPENDED)
         cvm.state = CvmState.FINALIZED
@@ -284,7 +297,7 @@ class SecureMonitor:
         for a CVM it did not create (migration adopt path).  Exposes
         nothing the host could not already observe at creation time.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_describe_cvm")
         cvm = self._cvm(cvm_id)
         return CvmDescriptor(
             cvm_id=cvm.cvm_id,
@@ -295,7 +308,7 @@ class SecureMonitor:
 
     def ecall_destroy(self, cvm_id: int) -> None:
         """Destroy a CVM: scrub every owned frame, recycle its blocks."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_destroy")
         cvm = self._cvm(cvm_id)
         cvm.require_state(
             CvmState.CREATED, CvmState.FINALIZED, CvmState.RUNNING, CvmState.SUSPENDED
@@ -321,7 +334,7 @@ class SecureMonitor:
 
     def ecall_attestation_report(self, cvm_id: int, report_data: bytes = b"") -> AttestationReport:
         """Sign a report over the launch measurement, RTMRs and user data."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_attestation_report")
         cvm = self._cvm(cvm_id)
         if cvm.measurement is None:
             raise EcallError("CVM is not finalized; no measurement exists")
@@ -342,7 +355,7 @@ class SecureMonitor:
         """
         import hashlib
 
-        self._charge_ecall()
+        self._charge_ecall("ecall_extend_rtmr")
         cvm = self._cvm(cvm_id)
         if not 0 <= index < len(cvm.rtmrs):
             raise EcallError(f"no such RTMR: {index}")
@@ -355,7 +368,7 @@ class SecureMonitor:
 
     def ecall_get_random(self, cvm_id: int, count: int) -> bytes:
         """Platform random bytes from the SM's DRBG (1..512)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_get_random")
         if not 0 < count <= 512:
             raise EcallError("random request must be 1..512 bytes")
         self._cvm(cvm_id)
@@ -371,7 +384,7 @@ class SecureMonitor:
         hypervisor extends the premapped shared window.  Returns the GPA
         of the newly shared range.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_guest_share_request")
         cvm = self._cvm(cvm_id)
         if size <= 0 or size % PAGE_SIZE:
             raise EcallError("share request must be a positive page multiple")
@@ -395,7 +408,7 @@ class SecureMonitor:
         pushes it back onto the vCPU's page cache so subsequent faults
         reuse it at stage-1 cost.  Returns the number of pages reclaimed.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_reclaim_pages")
         cvm = self._cvm(cvm_id)
         if gpa % PAGE_SIZE:
             raise EcallError("reclaim GPA must be page-aligned")
@@ -443,7 +456,7 @@ class SecureMonitor:
         self, cvm_id: int, window_gpa: int, size: int, expected_peer_measurement: bytes
     ) -> int:
         """Create a channel endpoint; returns the new channel ID."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_create")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
         return self.channels.create(cvm, window_gpa, size, expected_peer_measurement)
@@ -453,7 +466,7 @@ class SecureMonitor:
         expected_creator_measurement: bytes,
     ) -> int:
         """Join an existing channel; returns the window size in bytes."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_connect")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
         return self.channels.connect(
@@ -462,13 +475,13 @@ class SecureMonitor:
 
     def ecall_channel_notify(self, cvm_id: int, channel_id: int) -> int:
         """Ring the peer's doorbell; returns its pending doorbell count."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_notify")
         cvm = self._cvm(cvm_id)
         return self.channels.notify(cvm, channel_id)
 
     def ecall_channel_close(self, cvm_id: int, channel_id: int) -> None:
         """Close a channel from either endpoint (unmap, scrub, recycle)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_close")
         cvm = self._cvm(cvm_id)
         self.channels.close(cvm, channel_id)
 
@@ -487,7 +500,10 @@ class SecureMonitor:
         security violation and kills the access.  ``leaf_slot`` is the
         invalid leaf PTE the faulting hardware walk stopped at, when it
         reached full depth (see :meth:`SplitTableManager.map_private`).
+        Every handled fault is counted, its cycles summed per stage, and
+        a ``fault`` record written to the event ring.
         """
+        start = self.ledger._total
         self._charge_trap_to_m()
         self._charge_fault_fixed()
         if not cvm.layout.in_private_dram(gpa):
@@ -502,8 +518,11 @@ class SecureMonitor:
             cvm, page_gpa, pa, self._alloc_table_page, leaf_slot=leaf_slot
         )
         self.translator.sfence_page(cvm.vmid, page_gpa)
-        self.fault_stage_counts[stage] += 1
         self._charge_xret()
+        cycles = self.ledger._total - start
+        self.fault_stage_counts[stage] += 1
+        self.fault_stage_cycles[stage] += cycles
+        self.ledger._record("fault", "sm", stage, cycles)
         return stage
 
     def _alloc_and_map(self, cvm: ConfidentialVm, vcpu_id: int, gpa: int) -> int:
@@ -585,7 +604,9 @@ class SecureMonitor:
             raise EcallError(f"no such CVM: {cvm_id}")
         return cvm
 
-    def _charge_ecall(self) -> None:
+    def _charge_ecall(self, name: str) -> None:
+        """Record the ECALL ``name`` (its entry point) and charge its framing."""
+        self.ledger._record("ecall", name)
         self.ledger.charge(Category.TRAP, self.costs.trap_to_m)
         self.ledger.charge(Category.SM_LOGIC, self.costs.ecall_dispatch)
         self.ledger.charge(Category.TRAP, self.costs.xret)

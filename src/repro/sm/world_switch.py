@@ -191,6 +191,7 @@ class WorldSwitch:
         hart.mode = status.mret_target(mstatus)
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
         vcpu.state = vcpu.state.__class__.WAITING_HYP
+        self.ledger._record("cvm_exit", cvm.cvm_id, vcpu.vcpu_id, kind, hart.hart_id)
 
     def _publish_exit_fields(self, shared: SharedVcpu, exit_info: dict) -> None:
         """Shared-vCPU publish: only the cause-specific registers cross.
@@ -284,6 +285,7 @@ class WorldSwitch:
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
         vcpu.state = vcpu.state.__class__.RUNNING
         cvm.entry_count += 1
+        self.ledger._record("cvm_enter", cvm.cvm_id, vcpu.vcpu_id, hart.hart_id)
         return reply
 
     def _validate_full_state(self, vcpu: SecureVcpu, shared: SharedVcpu) -> dict:

@@ -8,6 +8,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.machine import Machine, MachineConfig
 from repro.sm.alloc import PoolExhausted
+from repro.workloads.memstress import sequential_write_stress
+from tests.generic_path import force_generic_path
 
 IMAGE = b"forced-fault-guest" * 60
 
@@ -140,6 +142,26 @@ class TestTimerFaults:
         assert results[client]["rounds"] == 3
         assert results[server]["echoed"] == 3
         assert injector.violations == []
+
+    @pytest.mark.parametrize("at", [20, 40])
+    def test_timer_seam_counts_due_ticks_on_either_access_path(self, at):
+        """The generic path calls check_timer on every access, the engine
+        step only when the tick is due; a plan must inject identically."""
+        outcomes = []
+        for generic in (False, True):
+            machine = Machine(MachineConfig(timer_tick_cycles=50_000))
+            if generic:
+                force_generic_path(machine)
+            session = machine.launch_confidential_vm(image=IMAGE)
+            plan = FaultPlan.single("timer_spurious", at=at)
+            with FaultInjector(machine, plan) as injector:
+                machine.run(session, sequential_write_stress(64))
+            outcomes.append(
+                (injector._counters["timer"], injector.applied, machine.ledger.total)
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 32
+        assert len(outcomes[0][1]) == (1 if at <= 32 else 0)
 
 
 class TestLifecycle:

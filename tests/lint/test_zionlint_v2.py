@@ -344,6 +344,24 @@ class TestZL5Concurrency:
         report = run_lint([tmp_path])
         assert [f for f in report.new if f.rule == "ZL5"] == []
 
+    def test_foreign_event_ring_write_flagged(self, tmp_path):
+        _write(
+            tmp_path,
+            "sm/spy.py",
+            """
+            class Monitor:
+                def forge(self):
+                    self.ledger._event_ring[0] = (0, "ecall", "forged")
+
+                def log(self):
+                    self.ledger._record("ecall", "ecall_log")
+            """,
+        )
+        report = run_lint([tmp_path])
+        hits = [f for f in report.new if f.rule == "ZL5"]
+        assert [f.func for f in hits] == ["Monitor.forge"]
+        assert "_event_ring" in hits[0].message
+
     def test_global_rebinding_flagged(self, tmp_path):
         _write(
             tmp_path,

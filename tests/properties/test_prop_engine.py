@@ -8,12 +8,13 @@ with integral or non-integral costs.  Each program runs on three machines:
 
 - the engine step (``Machine._access_one``), falling back when it declines;
 - every access through ``Machine.guest_access`` (``force_generic_path``);
-- the engine step with a ``fault_observer`` installed.
+- the engine step with a :class:`~repro.trace.Tracer` attached.
 
 All three must agree on the ledger (total and per category), the TLB
-statistics, the SM's per-stage fault counts, the values the guest read
-and the bytes of every page it touched.  The observer must be called once
-per SM fault, without changing anything it observes.
+statistics, the SM's per-stage fault counts and cycle sums, the values
+the guest read and the bytes of every page it touched.  The tracer must
+read one ``fault`` record per SM fault, without changing anything it
+observes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro import Machine, MachineConfig
 from repro.cycles import DEFAULT_COSTS
 from repro.errors import ReproError
 from repro.mem.physmem import PAGE_SIZE
+from repro.trace import Tracer
 from tests.generic_path import force_generic_path
 
 IMAGE = b"engine-differential" * 16
@@ -101,13 +103,11 @@ def _execute(ctx, program) -> list:
     return seen
 
 
-def _run(program, tick, cost_model, generic, observe):
+def _run(program, tick, cost_model, generic, traced):
     machine = Machine(MachineConfig(timer_tick_cycles=tick, costs=cost_model))
     if generic:
         force_generic_path(machine)
-    calls = []
-    if observe:
-        machine.fault_observer = lambda kind, stage, cycles: calls.append(kind)
+    tracer = Tracer(machine) if traced else None
     session = machine.launch_confidential_vm(image=IMAGE)
 
     def workload(ctx):
@@ -133,17 +133,25 @@ def _run(program, tick, cost_model, generic, observe):
         "by_category": machine.ledger.by_category(),
         "tlb": (tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes, len(tlb)),
         "fault_stages": dict(machine.monitor.fault_stage_counts),
+        "fault_cycles": dict(machine.monitor.fault_stage_cycles),
         "pages": pages,
     }
-    return fingerprint, calls
+    return fingerprint, tracer
 
 
 @settings(max_examples=40, deadline=None)
 @given(program=programs, tick=ticks, cost_model=costs)
 def test_engine_matches_generic_path(program, tick, cost_model):
-    engine, _ = _run(program, tick, cost_model, generic=False, observe=False)
-    generic, _ = _run(program, tick, cost_model, generic=True, observe=False)
-    observed, calls = _run(program, tick, cost_model, generic=False, observe=True)
+    engine, _ = _run(program, tick, cost_model, generic=False, traced=False)
+    generic, _ = _run(program, tick, cost_model, generic=True, traced=False)
+    traced, tracer = _run(program, tick, cost_model, generic=False, traced=True)
     assert engine == generic
-    assert observed == engine
-    assert calls == ["sm"] * sum(engine["fault_stages"].values())
+    assert traced == engine
+    assert tracer.dropped == 0
+    faults = tracer.of_kind("fault")
+    assert [event.detail["path"] for event in faults] == (
+        ["sm"] * sum(engine["fault_stages"].values())
+    )
+    assert sum(event.detail["cycles"] for event in faults) == (
+        sum(engine["fault_cycles"].values())
+    )

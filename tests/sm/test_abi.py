@@ -64,6 +64,43 @@ class TestHostAbi:
         error, _ = _host_call(machine, HostFunction.FINALIZE, 424242)
         assert error == SbiError.INVALID_PARAM
 
+    def test_oversized_vcpu_count_rejected_before_allocation(self, machine):
+        cvms = dict(machine.monitor.cvms)
+        error, _ = _host_call(machine, HostFunction.CREATE_CVM, 1 << 41)
+        assert error == SbiError.INVALID_PARAM
+        assert machine.monitor.cvms == cvms
+        limit = machine.monitor.MAX_VCPUS
+        error, cvm_id = _host_call(machine, HostFunction.CREATE_CVM, limit)
+        assert error == SbiError.SUCCESS
+        assert len(machine.monitor.cvms[cvm_id].vcpus) == limit
+        assert _host_call(machine, HostFunction.CREATE_CVM, limit + 1)[0] == (
+            SbiError.INVALID_PARAM
+        )
+
+    @pytest.mark.parametrize(
+        "base, size",
+        [
+            (1 << 36, 1 << 41),  # far past DRAM
+            ((1 << 64) - (1 << 20), 1 << 21),  # base + size wraps 64 bits
+            (0, 1 << 20),  # below DRAM
+        ],
+    )
+    def test_pool_region_outside_dram_rejected_at_once(self, machine, base, size):
+        regions = list(machine.monitor.pool.regions)
+        pmp_regions = machine.pmp_controller.pool_region_count
+        error, _ = _host_call(machine, HostFunction.REGISTER_POOL_MEMORY, base, size)
+        assert error == SbiError.INVALID_PARAM
+        assert machine.monitor.pool.regions == regions
+        assert machine.pmp_controller.pool_region_count == pmp_regions
+
+    def test_pool_region_straddling_dram_end_rejected(self, machine):
+        dram = machine.dram
+        base = dram.base + dram.size - (1 << 20)
+        error, _ = _host_call(
+            machine, HostFunction.REGISTER_POOL_MEMORY, base, 2 << 20
+        )
+        assert error == SbiError.INVALID_PARAM
+
     def test_security_violations_surface_as_denied(self, machine):
         error, cvm_id = _host_call(machine, HostFunction.CREATE_CVM, 1)
         pool_page = machine.monitor.pool.regions[0][0]

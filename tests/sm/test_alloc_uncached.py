@@ -73,14 +73,15 @@ def test_exhaustion_still_raises(env):
 
 def test_machine_level_plumbing():
     from repro import Machine, MachineConfig
+    from repro.trace import Tracer
     from repro.workloads.memstress import sequential_write_stress
 
     machine = Machine(MachineConfig(use_page_cache=False))
     session = machine.launch_confidential_vm(image=b"x")
-    stages = []
-    machine.fault_observer = lambda kind, stage, cycles: stages.append(stage)
+    tracer = Tracer(machine)
     machine.run(session, sequential_write_stress(16))
-    assert stages == [AllocStage.NEW_BLOCK] * 16
+    stages = [event.detail["stage"] for event in tracer.of_kind("fault")]
+    assert stages == [AllocStage.NEW_BLOCK.name] * 16
 
 
 def test_release_all_returns_the_global_block(env):
@@ -107,6 +108,7 @@ def test_destroy_recovers_blocks_without_page_cache():
     """Regression: teardown under the uncached ablation must return the
     global block, or every destroyed CVM leaks 256 KB of secure pool."""
     from repro import Machine, MachineConfig
+    from repro.trace import Tracer
     from repro.workloads.memstress import sequential_write_stress
 
     machine = Machine(MachineConfig(use_page_cache=False))

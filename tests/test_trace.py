@@ -1,8 +1,14 @@
-"""Event tracer: hooking, ordering, queries, detach."""
+"""Event tracer: the engine's event ring, ordering, queries, detach."""
+
+import ast
+import inspect
 
 import pytest
 
+from repro.cycles.ledger import EVENT_RING_CAPACITY
+from repro.sm.monitor import SecureMonitor
 from repro.trace import Tracer
+from repro.workloads.memstress import sequential_write_stress
 
 
 @pytest.fixture
@@ -86,11 +92,20 @@ def test_context_manager_detaches(machine):
     assert len(tracer.events) == inside
 
 
-def test_limit_bounds_memory(machine):
+def test_ring_overflow_keeps_the_newest_events(machine):
+    """A window longer than the ring keeps its newest records and counts
+    the overwritten ones; the ring itself never grows."""
     session = machine.launch_confidential_vm(image=b"x")
-    tracer = Tracer(machine, limit=3)
-    machine.run(session, lambda ctx: ctx.compute(5_000_000))
-    assert len(tracer.events) == 3
+    tracer = Tracer(machine)
+    cvm_id = session.cvm.cvm_id
+    for _ in range(EVENT_RING_CAPACITY + 5):
+        machine.monitor.ecall_describe_cvm(cvm_id)
+    events = tracer.events
+    assert len(events) == EVENT_RING_CAPACITY
+    assert tracer.dropped == 5
+    assert len(machine.ledger._event_ring) == EVENT_RING_CAPACITY
+    assert {event.detail["function"] for event in events} == {"ecall_describe_cvm"}
+    assert tracer.timeline().startswith("... 5 events dropped")
 
 
 def test_timeline_renders(traced):
@@ -100,37 +115,69 @@ def test_timeline_renders(traced):
     assert "cvm_enter" in text
 
 
-def test_fault_observer_chaining(machine):
-    """The tracer must not clobber a pre-installed fault observer."""
-    seen = []
-    machine.fault_observer = lambda kind, stage, cycles: seen.append(kind)
+def test_window_starts_at_attach(traced):
+    """Events written before a tracer is attached are not in its window."""
+    machine, session, tracer = traced
+    machine.run(session, lambda ctx: ctx.compute(100))
+    late = Tracer(machine)
+    assert late.events == []
+    machine.run(session, lambda ctx: ctx.compute(100))
+    assert late.events == tracer.events[-len(late.events):]
+    assert late.events[0].kind == "cvm_enter"
+
+
+def test_kvm_fault_events_match_the_counters(machine):
+    tracer = Tracer(machine)
+    session = machine.launch_normal_vm()
+    machine.run(session, sequential_write_stress(pages=8))
+    faults = tracer.of_kind("fault")
+    assert faults
+    assert {(e.detail["path"], e.detail["stage"]) for e in faults} == {("kvm", None)}
+    assert len(faults) == machine.kvm_fault_count
+    assert sum(e.detail["cycles"] for e in faults) == machine.kvm_fault_cycles
+
+
+def test_sm_fault_events_match_the_counters(machine):
     tracer = Tracer(machine)
     session = machine.launch_confidential_vm(image=b"x")
-    base = session.layout.dram_base + (8 << 20)
-    machine.run(session, lambda ctx: ctx.store(base, 1))
-    assert seen == ["sm"]
-    assert tracer.of_kind("fault")
+    machine.run(session, sequential_write_stress(pages=8))
+    faults = tracer.of_kind("fault")
+    monitor = machine.monitor
+    assert len(faults) == sum(monitor.fault_stage_counts.values()) > 0
+    assert sum(e.detail["cycles"] for e in faults) == (
+        sum(monitor.fault_stage_cycles.values())
+    )
+
+
+def test_every_ecall_entry_point_names_itself():
+    """The ABI's ECALL records are mechanically checkable: every
+    ``_charge_ecall`` call passes the name of the method it sits in."""
+    tree = ast.parse(inspect.getsource(SecureMonitor))
+    named = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_charge_ecall"
+            ):
+                assert [arg.value for arg in node.args] == [fn.name]
+                named.append(fn.name)
+    assert len(named) == 20
+    assert all(name.startswith("ecall_") for name in named)
 
 
 def test_ecall_hook_names_nested_callers(machine):
-    """The frame-based caller lookup must name the direct caller of
-    _charge_ecall even when the ECALL is reached through a deep guest
-    call chain (sbi dispatch -> monitor method)."""
+    """An ECALL reached through a deep guest call chain (sbi dispatch ->
+    monitor method) is recorded under its SM entry point."""
     tracer = Tracer(machine)
     session = machine.launch_confidential_vm(image=b"deep" * 100)
     machine.run(session, lambda ctx: ctx.sbi_ecall(0x5A4E_0002, 2, 8))
     functions = [event.detail["function"] for event in tracer.of_kind("ecall")]
     assert "ecall_get_random" in functions
     assert all(func.startswith("ecall_") for func in functions)
-
-
-def test_dropped_counter_and_timeline_note(machine):
-    session = machine.launch_confidential_vm(image=b"x")
-    tracer = Tracer(machine, limit=3)
-    machine.run(session, lambda ctx: ctx.compute(5_000_000))
-    assert len(tracer.events) == 3
-    assert tracer.dropped > 0
-    assert f"{tracer.dropped} events dropped" in tracer.timeline()
 
 
 def test_nothing_dropped_reports_clean_timeline(traced):

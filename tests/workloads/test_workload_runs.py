@@ -132,7 +132,6 @@ class TestIozoneWorkload:
 class TestMemstress:
     def test_one_fault_per_page(self, machine):
         session = _cvm(machine)
-        faults = []
-        machine.fault_observer = lambda kind, stage, cycles: faults.append(kind)
+        before = sum(machine.monitor.fault_stage_counts.values())
         machine.run(session, sequential_write_stress(pages=32))
-        assert faults.count("sm") == 32
+        assert sum(machine.monitor.fault_stage_counts.values()) - before == 32
