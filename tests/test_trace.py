@@ -92,20 +92,32 @@ def test_context_manager_detaches(machine):
     assert len(tracer.events) == inside
 
 
-def test_ring_overflow_keeps_the_newest_events(machine):
-    """A window longer than the ring keeps its newest records and counts
-    the overwritten ones; the ring itself never grows."""
+def _overflow_the_ring(machine, extra):
+    """Write ``EVENT_RING_CAPACITY + extra`` ECALL records into the window
+    of a freshly attached tracer."""
     session = machine.launch_confidential_vm(image=b"x")
     tracer = Tracer(machine)
     cvm_id = session.cvm.cvm_id
-    for _ in range(EVENT_RING_CAPACITY + 5):
+    for _ in range(EVENT_RING_CAPACITY + extra):
         machine.monitor.ecall_describe_cvm(cvm_id)
+    return tracer
+
+
+def test_limit_bounds_memory(machine):
+    """The ring's fixed capacity is the bound: a window longer than the
+    ring keeps its newest records and the ring itself never grows."""
+    tracer = _overflow_the_ring(machine, 5)
     events = tracer.events
     assert len(events) == EVENT_RING_CAPACITY
-    assert tracer.dropped == 5
     assert len(machine.ledger._event_ring) == EVENT_RING_CAPACITY
     assert {event.detail["function"] for event in events} == {"ecall_describe_cvm"}
+
+
+def test_dropped_counter_and_timeline_note(machine):
+    tracer = _overflow_the_ring(machine, 5)
+    assert tracer.dropped == 5
     assert tracer.timeline().startswith("... 5 events dropped")
+    assert f"{tracer.dropped} events dropped" in tracer.timeline()
 
 
 def test_timeline_renders(traced):
